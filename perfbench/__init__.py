@@ -1,0 +1,6 @@
+"""The repository benchmark: closed-loop workloads with end-to-end and per-layer metrics.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>``
+from the repository root; ``perfbench/README.md`` documents the workloads and
+which layer metric should move which end-to-end metric.
+"""
