@@ -13,9 +13,9 @@ FIRAL rounds and measure what each round costs under
   promoted pool with a per-round ``B(H_o)`` cache, and reuse of the previous
   round's winning η (one ROUND solve per round after the first).
 
-``relax_warm_start`` and ``incremental_fisher`` were measured too and stay
-out of ``fast()`` — see ``SessionConfig.fast`` for the measured reasons (the
-``cg_warm_start`` precedent: documented either way, default off).  Because
+``incremental_fisher`` was measured too and stays out of ``fast()`` — see
+``SessionConfig.fast`` for the measured reason (documented either way,
+default off).  Because
 the end-to-end shape is CG-dominated with a small labeled set, the payload
 additionally carries a ``fisher_maintenance`` series that isolates the
 incremental accumulator's own per-round cost against the from-scratch
@@ -48,8 +48,8 @@ The payload records per-round ``setup_seconds`` / ``selection_seconds``
 (see :class:`repro.active.results.RoundRecord`), the accuracy curve and the
 selected global ids, so a diff shows not just *how fast* but also how much
 the opt-in approximations (documented in ``repro.engine.session``) moved the
-selections — the ``cg_warm_start`` precedent of reporting the measurement
-either way.  ``--tiny`` switches to a seconds-scale shape for CI smoke runs.
+selections, reporting the measurement either way.  ``--tiny`` switches to a
+seconds-scale shape for CI smoke runs.
 """
 
 from __future__ import annotations
@@ -280,7 +280,6 @@ def run(
         selected_global_ids=[int(g) for g in session.store.labeled_ids[problem.initial_size:]],
         session_config={
             "incremental_fisher": config.incremental_fisher,
-            "relax_warm_start": config.relax_warm_start,
             "reuse_eta": config.reuse_eta,
             "resident_pool": config.resident_pool,
         },

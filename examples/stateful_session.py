@@ -7,8 +7,8 @@ Demonstrates what the ``repro.engine`` layer adds over the one-shot
   timings,
 * the cross-round fast path (``SessionConfig.fast()``: value-exact resident
   pool + reusing the previous round's winning η; the selection-changing
-  ``incremental_fisher`` / ``relax_warm_start`` modes stay opt-in — see
-  ``SessionConfig.fast`` for the measured reasons),
+  ``incremental_fisher`` mode stays opt-in — see ``SessionConfig.fast`` for
+  the measured reason),
 * checkpointing a long run to JSON and resuming the analysis offline.
 
 Run with:

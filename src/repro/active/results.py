@@ -53,9 +53,6 @@ class RoundRecord:
             "setup_seconds": self.setup_seconds,
         }
 
-    # ``as_dict`` predates the serialization API and is kept as an alias.
-    to_dict = as_dict
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RoundRecord":
         return cls(

@@ -7,8 +7,8 @@ method — Random, K-Means, Entropy, Exact-FIRAL, Approx-FIRAL — as a
 probabilities and the labeling budget, return the indices to label next.
 
 Strategies additionally participate in a **session lifecycle** so that
-methods with cross-round state (FIRAL's RELAX warm start, importance-weighted
-pools, incremental posteriors) can persist it through a run:
+methods with cross-round state (FIRAL's reused η, importance-weighted pools,
+incremental posteriors) can persist it through a run:
 
 * :meth:`SelectionStrategy.begin_session` — called once before the first
   round with a :class:`SessionInfo` describing the run;
@@ -59,11 +59,6 @@ class SessionInfo:
     num_rounds:
         Planned number of rounds, when the driver knows it (``None`` for
         open-ended sessions driven round by round).
-    relax_warm_start:
-        Whether the session asks FIRAL-style strategies to warm-start their
-        continuous solver from the previous round's solution (see
-        ``SessionConfig.relax_warm_start``).  Strategies without such state
-        ignore it.
     reuse_eta:
         Whether the session asks FIRAL-style strategies to reuse the previous
         round's winning FTRL learning rate η instead of re-running the § IV-A
@@ -109,7 +104,6 @@ class SessionInfo:
     budget_per_round: int
     pool_size: int
     num_rounds: Optional[int] = None
-    relax_warm_start: bool = False
     reuse_eta: bool = False
     parallel_ranks: Optional[int] = None
     parallel_transport: str = "simulated"
@@ -133,7 +127,7 @@ class LabelObservation:
         pool view that round's :class:`SelectionContext` exposed.
     global_ids:
         Stable point ids of the same selection (ids never shift as the pool
-        shrinks; see :class:`repro.engine.PointStore`).  Empty when the
+        shrinks; see :class:`repro.engine.DensePointStore`).  Empty when the
         driver does not track global ids.
     labels:
         The revealed labels, aligned with ``pool_indices``.
@@ -413,27 +407,16 @@ def ensure_lifecycle(strategy) -> SelectionStrategy:
 class FIRALStrategy(SelectionStrategy):
     """Adapter exposing ``ExactFIRAL`` / ``ApproxFIRAL`` as a strategy.
 
-    The adapter is lifecycle-aware and carries two kinds of cross-round
-    state under the session engine:
+    The adapter is lifecycle-aware and carries one piece of cross-round
+    state under the session engine: **η reuse** (``reuse_eta`` on the
+    session, or ``reuse_eta=True`` here).  The § IV-A grid search re-runs the
+    ROUND solver for every candidate η *every round*, yet the winning η is a
+    property of the problem scale and is stable across rounds; after the
+    first round's full search, subsequent rounds reuse the winner (one ROUND
+    solve instead of ``len(eta_grid)``).  Every round's RELAX solve starts
+    from the uniform simplex point, as Algorithm 2 prescribes.
 
-    * **RELAX warm start** (``relax_warm_start`` on the session, or
-      ``warm_start=True`` here): each round's mirror descent is initialized
-      from the previous round's relaxed weights ``z*`` restricted to the
-      surviving pool points — the cross-round analogue of the PR 2
-      ``cg_warm_start`` knob, and like it opt-in with the measurement
-      documented either way (see ``benchmarks/bench_active_rounds.py``).
-    * **η reuse** (``reuse_eta`` on the session, or ``reuse_eta=True``
-      here): the § IV-A grid search re-runs the ROUND solver for every
-      candidate η *every round*, yet the winning η is a property of the
-      problem scale and is stable across rounds; after the first round's
-      full search, subsequent rounds reuse the winner (one ROUND solve
-      instead of ``len(eta_grid)``).
-
-    Warm starting requires stable ids (``SelectionContext.pool_ids``), so it
-    silently stays cold under the id-less legacy driver; η reuse has no such
-    requirement but only engages when the session (or constructor) asks.
-
-    A third session request is **multi-rank execution**
+    A second session request is **multi-rank execution**
     (``parallel_ranks`` on the session, or ``parallel_ranks=N`` here): when
     the wrapped selector is an :class:`~repro.core.firal.ApproxFIRAL`, its
     RELAX + ROUND solves are routed through
@@ -449,20 +432,14 @@ class FIRALStrategy(SelectionStrategy):
     :attr:`SelectionContext.candidate_ids` restricts the Fisher dataset to
     the candidate rows, so RELAX, the η grid search and ROUND all run at
     candidate scale; the solver's candidate-local selection is mapped back to
-    pool-view indices, shard scatter boundaries are translated to the
-    candidate view, and warm-start state is keyed by candidate ids — a
-    stochastic filter's per-round candidate churn therefore degrades warm
-    starting to a cold start (detected per round, never wrong).
+    pool-view indices and shard scatter boundaries are translated to the
+    candidate view.
 
     Parameters
     ----------
     selector:
         An object with a ``select(dataset, budget) -> SelectionResult``
         method and a ``name`` attribute (both FIRAL classes qualify).
-    warm_start:
-        Force cross-round RELAX warm starting on (``True``) or off
-        (``False``); ``None`` (default) defers to the session's
-        ``SessionInfo.relax_warm_start``.
     reuse_eta:
         Force cross-round η reuse on/off; ``None`` (default) defers to the
         session's ``SessionInfo.reuse_eta``.
@@ -497,7 +474,6 @@ class FIRALStrategy(SelectionStrategy):
         self,
         selector,
         *,
-        warm_start: Optional[bool] = None,
         reuse_eta: Optional[bool] = None,
         parallel_ranks: Optional[int] = None,
         parallel_transport: Optional[str] = None,
@@ -511,7 +487,6 @@ class FIRALStrategy(SelectionStrategy):
         )
         self.selector = selector
         self.name = getattr(selector, "name", "firal")
-        self.warm_start = warm_start
         self.reuse_eta = reuse_eta
         self.parallel_ranks = parallel_ranks
         self.parallel_transport = parallel_transport
@@ -521,7 +496,6 @@ class FIRALStrategy(SelectionStrategy):
         #: One dict per recovered rank failure (round-robin diagnostics):
         #: ``{"error", "failed_rank", "collective", "retry_ranks"}``.
         self.recovery_events: list = []
-        self._session_warm_start = False
         self._session_reuse_eta = False
         self._session_parallel_ranks: Optional[int] = None
         self._session_parallel_transport = "simulated"
@@ -529,14 +503,12 @@ class FIRALStrategy(SelectionStrategy):
         self._session_fault_plan = None
         self._recovered_ranks: Optional[int] = None
         self._distributed_selector = None
-        self._previous: Optional[tuple] = None  # (pool_ids, relaxed weights)
         self._previous_eta: Optional[float] = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def begin_session(self, info: SessionInfo) -> None:
-        self._session_warm_start = bool(info.relax_warm_start)
         self._session_reuse_eta = bool(info.reuse_eta)
         self._session_parallel_ranks = info.parallel_ranks
         self._session_parallel_transport = info.parallel_transport
@@ -544,7 +516,6 @@ class FIRALStrategy(SelectionStrategy):
         self._session_fault_plan = info.fault_plan
         self._recovered_ranks = None
         self._distributed_selector = None
-        self._previous = None
         self._previous_eta = None
         self.last_result = None
         self.recovery_events = []
@@ -553,12 +524,6 @@ class FIRALStrategy(SelectionStrategy):
             # distributed — and build the distributed selector eagerly so the
             # first round already executes multi-rank.
             self._effective_selector()
-
-    @property
-    def _warm_start_active(self) -> bool:
-        if self.warm_start is not None:
-            return self.warm_start
-        return self._session_warm_start
 
     @property
     def _reuse_eta_active(self) -> bool:
@@ -626,39 +591,6 @@ class FIRALStrategy(SelectionStrategy):
             self._distributed_selector = self._build_distributed_selector(int(ranks))
         return self._distributed_selector
 
-    @staticmethod
-    def _scored_ids(context: SelectionContext) -> Optional[np.ndarray]:
-        """Stable ids of the rows the solvers actually score this round.
-
-        The candidate set when the session prefilters, the whole pool
-        otherwise — the id space the relaxed weights ``z*`` live in.
-        """
-
-        if context.candidate_ids is not None:
-            return context.candidate_ids
-        return context.pool_ids
-
-    def _warm_start_weights(self, context: SelectionContext) -> Optional[np.ndarray]:
-        """Previous round's ``z*`` restricted to the surviving scored rows, or ``None``."""
-
-        scored_ids = self._scored_ids(context)
-        if not self._warm_start_active or self._previous is None or scored_ids is None:
-            return None
-        prev_ids, prev_weights = self._previous
-        # Scored ids are sorted (the session engine keeps pool ids sorted and
-        # prefilters return sorted candidate ids); map each surviving id to
-        # its position in the previous round's scored set.
-        positions = np.searchsorted(prev_ids, scored_ids)
-        valid = positions < prev_ids.size
-        positions = np.minimum(positions, prev_ids.size - 1)
-        valid &= prev_ids[positions] == scored_ids
-        if not bool(np.all(valid)):
-            # This round scores points the previous solve never weighted — a
-            # replenished/streaming pool, or per-round candidate churn under a
-            # stochastic prefilter — fall back to a cold start.
-            return None
-        return prev_weights[positions]
-
     def _select_with_recovery(self, selector, dataset, context: SelectionContext, kwargs):
         """Run the solver, re-partitioning over fewer ranks on rank failure.
 
@@ -718,9 +650,6 @@ class FIRALStrategy(SelectionStrategy):
         dataset = context.fisher_dataset()
         candidate_positions = context.candidate_positions()
         kwargs = {}
-        initial_weights = self._warm_start_weights(context)
-        if initial_weights is not None:
-            kwargs["initial_weights"] = initial_weights
         if self._reuse_eta_active and self._previous_eta is not None:
             kwargs["eta"] = self._previous_eta
         selector = self._effective_selector()
@@ -750,17 +679,6 @@ class FIRALStrategy(SelectionStrategy):
                 selector.rank_devices = context.shard_devices if offsets is not None else None
         result = self._select_with_recovery(selector, dataset, context, kwargs)
         self.last_result = result
-        relax = getattr(result, "relax", None)
-        scored_ids = self._scored_ids(context)
-        # Only materialize warm-start state when it will be read: to_numpy on
-        # the relaxed weights forces a device sync under the torch backend.
-        if self._warm_start_active and scored_ids is not None and relax is not None:
-            from repro.backend import get_backend
-
-            self._previous = (
-                scored_ids.copy(),
-                np.asarray(get_backend().to_numpy(relax.weights), dtype=np.float64),
-            )
         if self._reuse_eta_active:
             round_result = getattr(result, "round", None)
             if round_result is not None and getattr(round_result, "eta", None) is not None:
@@ -778,17 +696,12 @@ class FIRALStrategy(SelectionStrategy):
     def state_dict(self) -> dict:
         """Cross-round state a checkpoint must carry to resume bit-identically.
 
-        The warm-start pair ``(scored ids, relaxed weights)`` and the reused
-        η are the only state that changes which points later rounds select;
-        diagnostics (``last_result``, ``recovery_events``) are deliberately
-        not checkpointed.
+        The reused η is the only state that changes which points later rounds
+        select; diagnostics (``last_result``, ``recovery_events``) are
+        deliberately not checkpointed.
         """
 
         state: dict = {}
-        if self._previous is not None:
-            prev_ids, prev_weights = self._previous
-            state["previous_ids"] = [int(i) for i in prev_ids]
-            state["previous_weights"] = [float(w) for w in prev_weights]
         if self._previous_eta is not None:
             state["previous_eta"] = float(self._previous_eta)
         return state
@@ -802,13 +715,6 @@ class FIRALStrategy(SelectionStrategy):
         state acquired after the snapshot must not survive the load.
         """
 
-        if "previous_ids" in state and "previous_weights" in state:
-            self._previous = (
-                np.asarray(state["previous_ids"], dtype=np.int64),
-                np.asarray(state["previous_weights"], dtype=np.float64),
-            )
-        else:
-            self._previous = None
         if state.get("previous_eta") is not None:
             self._previous_eta = float(state["previous_eta"])
         else:

@@ -21,14 +21,6 @@ across iterations: the probe buffer and every Lemma-2 einsum intermediate
 have iteration-independent shapes, so the inner loop reuses them instead of
 reallocating per iteration (results equal up to fp reduction order; see the
 config docstring).
-
-Two amortizations across mirror-descent iterations (both configurable, see
-:class:`~repro.core.config.RelaxConfig`): the block-diagonal preconditioner
-can be refreshed only every ``precond_refresh_every`` iterations instead of
-reassembled + inverted per iteration (stale factors only slow CG, never move
-its fixed point), and the Line-6/8 CG solves can warm-start from the previous
-iteration's solutions (opt-in — fresh per-iteration probes make consecutive
-right-hand sides uncorrelated, see the config docstring).
 """
 
 from __future__ import annotations
@@ -38,7 +30,6 @@ from typing import Optional
 from repro.backend import COMPUTE_DTYPE, Workspace, get_backend
 from repro.core.config import RelaxConfig
 from repro.core.result import RelaxResult
-from repro.core.warm_start import initial_simplex_iterate
 from repro.fisher.matvec import probe_hessian_quadratic_forms
 from repro.fisher.objective import fisher_ratio_objective, fisher_ratio_objective_estimate
 from repro.fisher.operators import FisherDataset, SigmaOperator
@@ -55,7 +46,6 @@ def approx_relax(
     budget: int,
     config: Optional[RelaxConfig] = None,
     *,
-    initial_weights: Optional[Array] = None,
     workspace: Optional[Workspace] = None,
 ) -> RelaxResult:
     """Run the fast RELAX solver and return the relaxed weights ``z*``.
@@ -67,20 +57,7 @@ def approx_relax(
     budget:
         Number of points ``b`` to be selected (the simplex scale).
     config:
-        Solver options (probes, CG tolerance, schedule, objective tracking).
-    initial_weights:
-        Optional warm start for the mirror-descent iterate: non-negative
-        weights over the pool (any positive scale — they are renormalized to
-        the simplex).  A session running consecutive rounds over the same
-        shrinking pool passes the previous round's ``z*`` restricted to the
-        surviving points; the default ``None`` starts from the uniform
-        distribution exactly as Algorithm 2 prescribes.  Warm starting moves
-        the *starting point* of a convex mirror-descent solve, not its
-        stationary points, but with a finite iteration budget /
-        objective-change stopping rule the iterate path (and hence the
-        returned ``z*``) differs from a cold start — which is why the session
-        engine keeps it opt-in (``SessionConfig.relax_warm_start``),
-        mirroring the ``cg_warm_start`` precedent.
+        Solver options (probes, CG tolerance, objective tracking).
     workspace:
         Optional externally owned scratch-buffer pool.  When the caller runs
         many solves (one per active-learning round), passing the same
@@ -104,18 +81,12 @@ def approx_relax(
     else:
         workspace = None
 
-    z = initial_simplex_iterate(n, initial_weights)
+    z = backend.full((n,), 1.0 / n, dtype=COMPUTE_DTYPE)
     objective_trace = []
     first_cg_history: list = []
     cg_iteration_history: list = []
     total_cg_iterations = 0
     converged = False
-
-    # Warm-start state: previous iteration's CG solutions (Lines 6 and 8) and
-    # the preconditioner reused between refreshes.
-    prev_first_solution = None
-    prev_second_solution = None
-    preconditioner = None
 
     iterations = 0
     for t in range(1, cfg.max_iterations + 1):
@@ -134,29 +105,21 @@ def approx_relax(
                 ),
             )
 
-        # Line 5: block-diagonal preconditioner for the current Sigma_z,
-        # refreshed every `precond_refresh_every` iterations (stale factors
-        # only affect CG convergence speed, never the solve's fixed point).
-        refresh = preconditioner is None or (t - 1) % cfg.precond_refresh_every == 0
+        # Line 5: block-diagonal preconditioner for the current Sigma_z.
         with timings.region("setup_preconditioner"):
             operator = SigmaOperator(
                 dataset,
                 budget * z,
                 regularization=cfg.regularization,
-                build_preconditioner=refresh,
                 workspace=workspace,
             )
-            if refresh:
-                preconditioner = operator.block_diagonal_inverse
 
-        # Lines 6-8: W = Sigma^{-1} H_p Sigma^{-1} V via two PCG solves,
-        # warm-started from the previous iteration's solutions.
+        # Lines 6-8: W = Sigma^{-1} H_p Sigma^{-1} V via two PCG solves.
         with timings.region("cg"):
             first_solve = conjugate_gradient(
                 operator.matvec,
                 probes,
-                preconditioner=preconditioner.matvec,
-                x0=prev_first_solution if cfg.cg_warm_start else None,
+                preconditioner=operator.precondition,
                 rtol=cfg.cg_tolerance,
                 max_iterations=cfg.cg_max_iterations,
                 record_history=(t == 1),
@@ -172,17 +135,13 @@ def approx_relax(
             second_solve = conjugate_gradient(
                 operator.matvec,
                 pool_applied,
-                preconditioner=preconditioner.matvec,
-                x0=prev_second_solution if cfg.cg_warm_start else None,
+                preconditioner=operator.precondition,
                 rtol=cfg.cg_tolerance,
                 max_iterations=cfg.cg_max_iterations,
                 record_history=False,
             )
             total_cg_iterations += second_solve.iterations
             cg_iteration_history.append(first_solve.iterations + second_solve.iterations)
-            if cfg.cg_warm_start:
-                prev_first_solution = first_solve.solution
-                prev_second_solution = second_solve.solution
 
         # Line 9: gradient estimate for every pool point.
         with timings.region("gradient"):
@@ -196,8 +155,7 @@ def approx_relax(
 
         # Lines 10-11: exponentiated-gradient update on the simplex.
         with timings.region("other"):
-            scale = float(xp.abs(grad).max()) if cfg.normalize_gradient else 1.0
-            beta = cfg.step_size(t, scale)
+            beta = cfg.step_size(t, float(xp.abs(grad).max()))
             log_z = xp.log(xp.clip(z, 1e-300, None)) - beta * grad
             log_z -= log_z.max()
             z = xp.exp(log_z)

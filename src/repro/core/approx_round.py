@@ -210,7 +210,7 @@ def approx_round(
     backend = get_backend()
     xp = backend.xp
     n = dataset.num_pool
-    require(n >= budget or cfg.allow_repeats, "pool smaller than budget with allow_repeats=False")
+    require(n >= budget, "pool smaller than budget")
 
     z_relaxed = backend.ascompute(z_relaxed).ravel()
     require(tuple(z_relaxed.shape) == (n,), "z_relaxed must have one weight per pool point")
@@ -262,8 +262,7 @@ def approx_round(
                 workspace=workspace,
                 out=scores_buf,
             )
-            if not cfg.allow_repeats:
-                scores = xp.where(available, scores, -xp.inf)
+            scores = xp.where(available, scores, -xp.inf)
             best_index = int(xp.argmax(scores))
             require(bool(xp.isfinite(scores[best_index])), "no candidate available for selection")
             selected.append(best_index)

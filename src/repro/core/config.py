@@ -26,17 +26,6 @@ class RelaxConfig:
     ----------
     max_iterations:
         Mirror-descent iteration cap ``T``.
-    learning_rate:
-        Base step size ``beta_0`` of the entropic mirror descent update
-        ``z_i <- z_i * exp(-beta_t g_i)``.
-    learning_rate_schedule:
-        ``"sqrt"`` uses ``beta_t = beta_0 / sqrt(t)`` (the classical mirror
-        descent schedule), ``"constant"`` keeps ``beta_0``.
-    normalize_gradient:
-        When true (default), gradients are scaled by their infinity norm
-        before the exponential update; this makes the step size insensitive
-        to the absolute Fisher scale, mirroring the robustness the paper
-        reports across datasets.
     objective_tolerance:
         Relative-change stopping criterion on the objective (1e-4 in § IV-A).
     num_probes:
@@ -54,24 +43,6 @@ class RelaxConfig:
         the labeled set is tiny (the first rounds have one point per class).
     seed:
         RNG seed for the Rademacher probes.
-    cg_warm_start:
-        Warm-start the Line-6 and Line-8 CG solves from the previous
-        mirror-descent iteration's solutions.  Off by default: Line 4 draws
-        *fresh* Rademacher probes every iteration, so consecutive right-hand
-        sides are uncorrelated and the previous solution inflates the initial
-        residual by ~sqrt(2) instead of shrinking it (measured: ~10–35% more
-        CG iterations at the reference shapes).  The knob exists for solve
-        sequences whose right-hand sides *are* correlated across iterations
-        (frozen probes, externally supplied RHS); results always satisfy the
-        same residual tolerance either way.
-    precond_refresh_every:
-        Rebuild the block-diagonal preconditioner ``B(Sigma_z)^{-1}`` only
-        every ``k`` mirror-descent iterations, reusing the previous factor in
-        between.  The preconditioner only steers CG convergence — the fixed
-        point of the solves is unchanged — so a slightly stale preconditioner
-        trades a few extra CG iterations for skipping the ``O(n c d^2)``
-        assembly + ``O(c d^3)`` inversion.  The default ``1`` (refresh every
-        iteration) preserves bit-identical results.
     reuse_buffers:
         When true, the Algorithm-2 inner loop draws probes into and runs its
         Lemma-2 einsums through a preallocated
@@ -85,9 +56,6 @@ class RelaxConfig:
     """
 
     max_iterations: int = 100
-    learning_rate: float = 1.0
-    learning_rate_schedule: str = "sqrt"
-    normalize_gradient: bool = True
     objective_tolerance: float = 1e-4
     num_probes: int = 10
     cg_tolerance: float = 0.1
@@ -95,18 +63,10 @@ class RelaxConfig:
     track_objective: str = "estimate"
     regularization: float = 1e-6
     seed: Optional[int] = 0
-    cg_warm_start: bool = False
-    precond_refresh_every: int = 1
     reuse_buffers: bool = False
 
     def __post_init__(self) -> None:
         require(self.max_iterations > 0, "max_iterations must be positive")
-        require(self.precond_refresh_every >= 1, "precond_refresh_every must be at least 1")
-        require(self.learning_rate > 0, "learning_rate must be positive")
-        require(
-            self.learning_rate_schedule in ("sqrt", "constant"),
-            "learning_rate_schedule must be 'sqrt' or 'constant'",
-        )
         require(self.objective_tolerance >= 0, "objective_tolerance must be non-negative")
         require(self.num_probes > 0, "num_probes must be positive")
         require(self.cg_tolerance > 0, "cg_tolerance must be positive")
@@ -118,17 +78,17 @@ class RelaxConfig:
         require(self.regularization >= 0, "regularization must be non-negative")
 
     def step_size(self, iteration: int, gradient_scale: float) -> float:
-        """Step size ``beta_t`` for 1-based ``iteration``.
+        """Step size ``beta_t = 1 / sqrt(t) / ||g||_inf`` for 1-based ``iteration``.
 
-        ``gradient_scale`` is the infinity norm of the current gradient when
-        ``normalize_gradient`` is enabled (1.0 otherwise).
+        ``gradient_scale`` is the infinity norm of the current gradient;
+        dividing by it makes the exponentiated-gradient update
+        ``z_i <- z_i * exp(-beta_t g_i)`` insensitive to the absolute Fisher
+        scale, mirroring the robustness the paper reports across datasets.
         """
 
         require(iteration >= 1, "iteration is 1-based")
-        beta = self.learning_rate
-        if self.learning_rate_schedule == "sqrt":
-            beta = beta / (iteration**0.5)
-        if self.normalize_gradient and gradient_scale > 0:
+        beta = 1.0 / (iteration**0.5)
+        if gradient_scale > 0:
             beta = beta / gradient_scale
         return beta
 
@@ -145,10 +105,6 @@ class RoundConfig:
         maximize ``min_k lambda_min(H_k)`` over the selected batch).
     eta_grid:
         Candidate values used when ``eta is None``.
-    allow_repeats:
-        Whether a point may be selected more than once.  The paper's regret
-        analysis permits repeats; practical active learning does not, so the
-        default removes selected points from later iterations.
     regularization:
         Tikhonov term added to ``Sigma_*`` (and hence to every ``B_t``)
         before inversion; protects the first rounds where ``Sigma_*`` can be
@@ -171,14 +127,14 @@ class RoundConfig:
 
     eta: Optional[float] = None
     eta_grid: Sequence[float] = field(default_factory=lambda: (0.1, 0.5, 1.0, 2.0, 8.0))
-    allow_repeats: bool = False
     regularization: float = 1e-6
     score_chunk_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.eta is not None:
             require(self.eta > 0, "eta must be positive")
-        require(len(tuple(self.eta_grid)) > 0, "eta_grid must not be empty")
+        self.eta_grid = tuple(float(e) for e in self.eta_grid)
+        require(len(self.eta_grid) > 0, "eta_grid must not be empty")
         require(all(e > 0 for e in self.eta_grid), "eta_grid values must be positive")
         require(self.regularization >= 0, "regularization must be non-negative")
         require(

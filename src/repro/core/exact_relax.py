@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.backend import Array, get_backend
+from repro.backend import Array, COMPUTE_DTYPE, get_backend
 from repro.core.config import RelaxConfig
 from repro.core.result import RelaxResult
-from repro.core.warm_start import initial_simplex_iterate
 from repro.fisher.objective import fisher_ratio_objective
 from repro.fisher.operators import FisherDataset
 from repro.utils.timing import TimingBreakdown
@@ -75,8 +74,6 @@ def exact_relax(
     dataset: FisherDataset,
     budget: int,
     config: Optional[RelaxConfig] = None,
-    *,
-    initial_weights: Optional[Array] = None,
 ) -> RelaxResult:
     """Run the exact RELAX solver and return the relaxed weights ``z*``.
 
@@ -89,11 +86,6 @@ def exact_relax(
     config:
         Solver options; ``track_objective`` is forced to ``"exact"`` because
         the dense objective is already cheap relative to the exact gradient.
-    initial_weights:
-        Optional warm start for the mirror-descent iterate (same semantics as
-        :func:`repro.core.approx_relax.approx_relax`): non-negative pool
-        weights, renormalized to the simplex with a strictly positive floor.
-        ``None`` starts uniform as in Algorithm 1.
     """
 
     require(budget > 0, "budget must be positive")
@@ -103,7 +95,7 @@ def exact_relax(
     n = dataset.num_pool
     timings = TimingBreakdown()
 
-    z = initial_simplex_iterate(n, initial_weights)
+    z = backend.full((n,), 1.0 / n, dtype=COMPUTE_DTYPE)
     objective_trace = []
     converged = False
 
@@ -113,8 +105,7 @@ def exact_relax(
         with timings.region("gradient"):
             grad = exact_relax_gradient(dataset, budget * z, regularization=cfg.regularization)
         with timings.region("other"):
-            scale = float(xp.abs(grad).max()) if cfg.normalize_gradient else 1.0
-            beta = cfg.step_size(t, scale)
+            beta = cfg.step_size(t, float(xp.abs(grad).max()))
             # Entropic mirror descent / exponentiated gradient update.
             log_z = xp.log(xp.clip(z, 1e-300, None)) - beta * grad
             log_z -= log_z.max()

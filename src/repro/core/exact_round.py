@@ -120,7 +120,7 @@ def exact_round(
         FTRL learning rate η (Eq. 9/10); the η grid search lives in
         :mod:`repro.core.eta_selection`.
     config:
-        Round options (``allow_repeats``, regularization).
+        Round options (regularization).
     precompute:
         Optional η-independent state built with
         :meth:`ExactRoundPrecompute.build` for the same
@@ -134,7 +134,7 @@ def exact_round(
     backend = get_backend()
     xp = backend.xp
     n = dataset.num_pool
-    require(n >= budget or cfg.allow_repeats, "pool smaller than budget with allow_repeats=False")
+    require(n >= budget, "pool smaller than budget")
 
     z_relaxed = backend.ascompute(z_relaxed).ravel()
     require(tuple(z_relaxed.shape) == (n,), "z_relaxed must have one weight per pool point")
@@ -168,7 +168,7 @@ def exact_round(
             best_index = -1
             best_value = xp.inf
             for i in range(n):
-                if not cfg.allow_repeats and not bool(available[i]):
+                if not bool(available[i]):
                     continue
                 trial = base + eta * candidate_tilde[i]
                 value = float(xp.trace(backend.inv(trial)))

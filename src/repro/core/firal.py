@@ -49,13 +49,11 @@ class _FIRALBase:
         # shape-stable RELAX buffers alive instead of reallocating per round.
         self._workspace: Optional[Workspace] = None
 
-    def _relax(self, dataset: FisherDataset, budget: int, initial_weights: Optional[Array]):
-        """Run the bound RELAX solver, threading warm start / workspace."""
+    def _relax(self, dataset: FisherDataset, budget: int):
+        """Run the bound RELAX solver, threading the workspace."""
 
         solver = type(self)._relax_solver
         kwargs = {}
-        if initial_weights is not None:
-            kwargs["initial_weights"] = initial_weights
         if solver is approx_relax:
             workspace = None
             if self.relax_config.reuse_buffers:
@@ -102,20 +100,16 @@ class _FIRALBase:
         dataset: FisherDataset,
         budget: int,
         *,
-        initial_weights: Optional[Array] = None,
         eta: Optional[float] = None,
     ) -> SelectionResult:
         """Select ``budget`` pool indices for labeling.
 
         Runs the RELAX step, then either uses the configured η directly or
         grid-searches it with the paper's min-eigenvalue rule, then runs the
-        ROUND step.  ``initial_weights`` warm-starts the RELAX mirror descent
-        (see :func:`repro.core.approx_relax.approx_relax`); the session
-        engine passes the previous round's ``z*`` restricted to the surviving
-        pool when ``SessionConfig.relax_warm_start`` is enabled.  ``eta``
-        overrides the grid search for this call — the session engine passes
-        the previous round's winning η (``SessionConfig.reuse_eta``), turning
-        the § IV-A grid's 7 ROUND solves per round into 1 after the first.
+        ROUND step.  ``eta`` overrides the grid search for this call — the
+        session engine passes the previous round's winning η
+        (``SessionConfig.reuse_eta``), turning the § IV-A grid's
+        ``len(eta_grid)`` ROUND solves per round into 1 after the first.
         """
 
         require(budget > 0, "budget must be positive")
@@ -123,7 +117,7 @@ class _FIRALBase:
             budget <= dataset.num_pool,
             f"budget {budget} exceeds pool size {dataset.num_pool}",
         )
-        relax_result = self._relax(dataset, budget, initial_weights)
+        relax_result = self._relax(dataset, budget)
 
         fixed_eta = eta if eta is not None else self.round_config.eta
         if fixed_eta is not None:

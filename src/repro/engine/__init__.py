@@ -3,9 +3,9 @@
 The paper's experiments run FIRAL for many consecutive rounds over the same
 pool; this package makes the *round loop* a first-class object instead of a
 cold-start-per-round script.  :class:`ActiveSession` owns the run's state —
-stable point ids with mask-based pool membership (:class:`PointStore`), an
-incrementally maintained labeled-Fisher accumulator, and cross-round RELAX
-warm starts — and threads it to strategies through the lifecycle protocol of
+stable point ids with mask-based pool membership (:class:`DensePointStore`),
+an incrementally maintained labeled-Fisher accumulator, and the reused η of
+the ROUND grid search — and threads it to strategies through the lifecycle protocol of
 :mod:`repro.baselines.base`.  The legacy
 :func:`repro.active.run_active_learning` API is a thin wrapper over a
 session and reproduces its historical results bit-identically on the NumPy
@@ -13,8 +13,8 @@ backend.
 
 Point storage is **pluggable** behind the :class:`PoolStore` protocol
 (stable global ids, mask membership, host/compute views, ``label()``):
-:class:`DensePointStore` is the monolithic in-memory store (the historical
-``PointStore``, bit-identical and test-pinned),
+:class:`DensePointStore` is the monolithic in-memory store (bit-identical
+to the historical engine and test-pinned),
 :class:`ShardedPointStore` partitions the pool id range into per-rank
 contiguous shards feeding the distributed solvers' shard-aware scatter, and
 :class:`StreamingPointStore` grows the master between rounds
@@ -43,16 +43,13 @@ from repro.engine.prefilter import (
 from repro.engine.session import ActiveSession, QueryProposal, SessionConfig
 from repro.engine.stores import MmapPointStore, ShardedPointStore, StreamingPointStore
 
-#: The curated public surface of the engine layer.  ``PointStore`` stays
-#: listed but resolves lazily through ``__getattr__`` below — touching the
-#: legacy name emits a ``DeprecationWarning`` without taxing ``import repro``.
+#: The curated public surface of the engine layer.
 __all__ = [
     "ActiveSession",
     "SessionConfig",
     "QueryProposal",
     "PoolStore",
     "DensePointStore",
-    "PointStore",
     "MmapPointStore",
     "ShardedPointStore",
     "StreamingPointStore",
@@ -63,10 +60,3 @@ __all__ = [
     "make_prefilter",
 ]
 
-
-def __getattr__(name: str):
-    if name == "PointStore":
-        from repro.engine import pool
-
-        return pool.PointStore  # deprecated alias — pool warns on access
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

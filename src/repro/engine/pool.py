@@ -21,9 +21,8 @@ stable ids, mask membership, host/compute views, :meth:`~PoolStore.label` —
 with all of the shared bookkeeping implemented once.  Three implementations
 ship with the engine:
 
-* :class:`DensePointStore` (this module; also exported under its historical
-  name ``PointStore``) — one monolithic host master array, the pre-refactor
-  behavior bit-for-bit;
+* :class:`DensePointStore` (this module) — one monolithic host master
+  array, the pre-refactor behavior bit-for-bit;
 * :class:`~repro.engine.stores.ShardedPointStore` — the pool id range is
   partitioned into per-rank contiguous shards with per-shard masks and
   per-shard compute-master copies, feeding the distributed solvers'
@@ -46,7 +45,7 @@ import numpy as np
 from repro.backend import Array, get_backend
 from repro.utils.validation import require
 
-__all__ = ["PoolStore", "DensePointStore", "PointStore", "gather_region_compute"]
+__all__ = ["PoolStore", "DensePointStore", "gather_region_compute"]
 
 
 def _to_host(a) -> np.ndarray:
@@ -355,7 +354,7 @@ class PoolStore:
 class DensePointStore(PoolStore):
     """The monolithic in-memory store: one dense host master array.
 
-    This is the pre-refactor ``PointStore`` behavior bit-for-bit (the
+    This is the pre-refactor single-array store behavior bit-for-bit (the
     legacy-equivalence suite pins it against the frozen pre-session driver
     for every strategy); the base class implements everything, this subclass
     only fixes the ``kind`` tag.
@@ -363,21 +362,3 @@ class DensePointStore(PoolStore):
 
     kind = "dense"
 
-
-def __getattr__(name: str):
-    # Historical name of the dense store.  Still a true alias (isinstance
-    # checks and pickles keep working — the object *is* DensePointStore),
-    # but the import path is deprecated: resolving it lazily through PEP 562
-    # lets us warn exactly when legacy code touches the old name without
-    # taxing `import repro` itself.
-    if name == "PointStore":
-        import warnings
-
-        warnings.warn(
-            "repro.engine.pool.PointStore is a deprecated alias of "
-            "DensePointStore; import DensePointStore instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return DensePointStore
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,11 +20,9 @@ of the legacy driver removed:
   contributions instead of the full sum being recomputed every
   preconditioner refresh) via
   :class:`~repro.fisher.LabeledFisherAccumulator`;
-* FIRAL's RELAX mirror descent can warm-start from the previous round's
-  relaxed weights, restricted to the surviving pool, and the § IV-A η grid
-  search can reuse the previous round's winner instead of re-running every
-  ROUND solve (both threaded through the strategy lifecycle protocol of
-  :mod:`repro.baselines.base`).
+* the § IV-A η grid search can reuse the previous round's winner instead
+  of re-running every ROUND solve (threaded through the strategy lifecycle
+  protocol of :mod:`repro.baselines.base`).
 
 All mechanisms are **opt-in** through :class:`SessionConfig`.  With the
 default configuration the session reproduces the legacy
@@ -97,12 +95,9 @@ practice; the benchmark records both accuracy curves).  ``incremental_fisher``
 evaluates each labeled point's Fisher contribution with the classifier **at
 the time it was labeled** (the accumulator can only add, never refresh) —
 the incremental-posterior approximation of Pinsler et al.; the first round
-is exact and later rounds drift as the classifier evolves.
-``relax_warm_start`` moves the mirror-descent starting point, which under a
-finite iteration / objective-tolerance budget changes the iterate path.  All
+is exact and later rounds drift as the classifier evolves.  All
 non-value-exact modes are off by default, with the measurement documented in
-``benchmarks/bench_active_rounds.py`` either way (the ``cg_warm_start``
-precedent).
+``benchmarks/bench_active_rounds.py`` either way.
 """
 
 from __future__ import annotations
@@ -188,10 +183,6 @@ class SessionConfig:
         the current classifier each round (approximation — see the module
         docstring).  Also skips the per-round ``predict_proba`` over the
         labeled set.
-    relax_warm_start:
-        Ask FIRAL-style strategies (via ``SessionInfo.relax_warm_start``) to
-        initialize RELAX mirror descent from the previous round's ``z*``
-        restricted to the surviving pool.
     reuse_eta:
         Ask FIRAL-style strategies (via ``SessionInfo.reuse_eta``) to reuse
         the previous round's winning FTRL learning rate η instead of
@@ -213,7 +204,7 @@ class SessionConfig:
         fixed iteration budget (``track_objective="none"``; see
         :mod:`repro.parallel.firal`), so configure the serial comparison the
         same way when pinning equivalence.  Non-FIRAL strategies ignore the
-        request, exactly like ``relax_warm_start``.
+        request, exactly like ``reuse_eta``.
     parallel_transport:
         ``"simulated"`` (ranks as threads, default) or ``"shared_memory"``
         (ranks as real OS processes); only read when ``parallel_ranks``
@@ -250,8 +241,8 @@ class SessionConfig:
         keep-everything settings (``keep_ratio=1.0``) no draws are consumed
         and the session is bit-identical to an unfiltered one (test-pinned).
         Any ``keep_ratio < 1`` is an approximation — the frontier is measured
-        in ``benchmarks/bench_prefilter.py``, the ``cg_warm_start``
-        documentation precedent.  ``None`` (default) scores the whole pool.
+        in ``benchmarks/bench_prefilter.py``.  ``None`` (default) scores the
+        whole pool.
     on_rank_failure:
         What a multi-rank selection should do when a rank dies mid-round
         (a :class:`~repro.parallel.comm.CommError` escapes the launcher).
@@ -278,7 +269,6 @@ class SessionConfig:
     """
 
     incremental_fisher: bool = False
-    relax_warm_start: bool = False
     reuse_eta: bool = False
     resident_pool: bool = False
     parallel_ranks: Optional[int] = None
@@ -297,18 +287,15 @@ class SessionConfig:
         help end to end on the reference benchmark
         (``benchmarks/bench_active_rounds.py``).
 
-        ``relax_warm_start`` and ``incremental_fisher`` are deliberately
-        *not* included — both measured counterproductive at the benchmark's
-        small-label scale (a concentrated warm-started iterate worsens
-        ``Sigma_z`` conditioning in some rounds; acquisition-time
-        probabilities are diffuser than fresh ones, putting more
-        off-block-diagonal mass in ``H_o`` than the block-diagonal
-        preconditioner can capture — both inflate CG iterations), exactly
-        like the PR 2 ``cg_warm_start`` precedent.  ``incremental_fisher``'s
+        ``incremental_fisher`` is deliberately *not* included — it measured
+        counterproductive at the benchmark's small-label scale
+        (acquisition-time probabilities are diffuser than fresh ones, putting
+        more off-block-diagonal mass in ``H_o`` than the block-diagonal
+        preconditioner can capture, which inflates CG iterations).  Its
         payoff regime is large labeled sets, where the ``O(m c d^2)``
         reassembly it avoids dominates and per-round classifier drift is
         small; the benchmark's ``fisher_maintenance`` series measures that
-        crossover.  Enable either explicitly to experiment."""
+        crossover.  Enable it explicitly to experiment."""
 
         return cls(reuse_eta=True, resident_pool=True)
 
@@ -477,7 +464,6 @@ class ActiveSession:
                 budget_per_round=self.budget_per_round,
                 pool_size=problem.pool_size,
                 num_rounds=self.planned_rounds,
-                relax_warm_start=self.config.relax_warm_start,
                 reuse_eta=self.config.reuse_eta,
                 parallel_ranks=self.config.parallel_ranks,
                 parallel_transport=self.config.parallel_transport,
@@ -637,10 +623,8 @@ class ActiveSession:
         Appends new unlabeled points to the session's store under fresh
         stable ids — the pool-refresh round boundary of streaming active
         learning.  Existing ids never move, so the labeled history, the
-        recorded curve and any per-id strategy state stay valid; FIRAL's
-        RELAX warm start simply falls back to a cold start on the first
-        round whose pool contains ids the previous solve never weighted.
-        Returns the new points' global ids.
+        recorded curve and any per-id strategy state stay valid.  Returns the
+        new points' global ids.
 
         An in-flight eager prefetch is **cancelled first** (joined and
         rolled back to the round boundary): the precomputed proposal never
@@ -1112,7 +1096,6 @@ class ActiveSession:
         cfg = self.config
         return {
             "incremental_fisher": bool(cfg.incremental_fisher),
-            "relax_warm_start": bool(cfg.relax_warm_start),
             "reuse_eta": bool(cfg.reuse_eta),
             "parallel_ranks": None if cfg.parallel_ranks is None else int(cfg.parallel_ranks),
             "parallel_transport": cfg.parallel_transport,
@@ -1261,8 +1244,9 @@ class ActiveSession:
         constructed exactly as for the original session — the checkpoint
         holds the run *state*, not the experiment definition.  The config
         switches that affect selection are fingerprinted in the checkpoint
-        and validated here; a corrupt or truncated file fails loudly
-        (``ValueError``) instead of resuming from garbage.  The resumed
+        and validated here (a switch the session no longer has must have been
+        off when the checkpoint was written); a corrupt or truncated file
+        fails loudly (``ValueError``) instead of resuming from garbage.  The resumed
         session's remaining rounds are bit-identical to the uninterrupted
         run (test-pinned for every shipped strategy in
         ``tests/test_engine_checkpoint.py``).
@@ -1288,6 +1272,14 @@ class ActiveSession:
                 saved_config.get(key) == value,
                 f"checkpoint was written with {key}={saved_config.get(key)!r}, "
                 f"but this session has {key}={value!r}",
+            )
+        # A switch this session no longer fingerprints is a removed mode: a
+        # checkpoint that had it on would silently resume without it.
+        for key in sorted(saved_config.keys() - current_config.keys()):
+            require(
+                not saved_config[key],
+                f"checkpoint was written with {key}={saved_config[key]!r}, "
+                "a mode this session no longer supports",
             )
         store_section = payload["store"]
         require(

@@ -21,9 +21,7 @@ classes the dense store cannot express:
   :meth:`StreamingPointStore.extend` appends replenishment points between
   rounds (the pool-refresh setting of Pinsler et al.'s batch-construction
   experiments).  New points get fresh ids past the current range; existing
-  ids never move, so cross-round strategy state keyed by id stays valid, and
-  FIRAL's RELAX warm start falls back to a cold start when it meets ids the
-  previous solve never weighted (``FIRALStrategy._warm_start_weights``).
+  ids never move, so cross-round strategy state keyed by id stays valid.
   Promotion is **incremental**: each growth epoch becomes a new compute
   segment, so an extend promotes only the appended rows instead of
   re-copying the whole pool to the backend.

@@ -196,7 +196,6 @@ class SigmaOperator:
         z: Array,
         *,
         regularization: float = 0.0,
-        build_preconditioner: bool = True,
         workspace: Optional[Workspace] = None,
     ):
         backend = get_backend()
@@ -209,14 +208,11 @@ class SigmaOperator:
         self.z = z
         self.regularization = float(regularization)
         self.workspace = workspace
-        self.block_diagonal: Optional[BlockDiagonalMatrix] = None
-        self.block_diagonal_inverse: Optional[BlockDiagonalMatrix] = None
-        if build_preconditioner:
-            bd = dataset.sigma_block_diagonal(z)
-            if self.regularization > 0.0:
-                bd = bd.add_identity(self.regularization)
-            self.block_diagonal = bd
-            self.block_diagonal_inverse = bd.inverse()
+        bd = dataset.sigma_block_diagonal(z)
+        if self.regularization > 0.0:
+            bd = bd.add_identity(self.regularization)
+        self.block_diagonal = bd
+        self.block_diagonal_inverse = bd.inverse()
 
     @property
     def shape(self) -> tuple:
@@ -234,10 +230,8 @@ class SigmaOperator:
     __call__ = matvec
 
     def precondition(self, V: Array) -> Array:
-        """Apply ``B(Sigma_z)^{-1}`` to ``V`` (identity if not built)."""
+        """Apply ``B(Sigma_z)^{-1}`` to ``V``."""
 
-        if self.block_diagonal_inverse is None:
-            return get_backend().copy(V)
         return self.block_diagonal_inverse.matvec(V)
 
     def dense(self) -> Array:

@@ -243,15 +243,14 @@ def _select_with_eta(
                 chunk_size=cfg.score_chunk_size,
                 workspace=state.workspace,
             )
-            if not cfg.allow_repeats:
-                scores = xp.where(available, scores, -xp.inf)
+            scores = xp.where(available, scores, -xp.inf)
             best_local = int(xp.argmax(scores))
             best_value = float(scores[best_local])
         owner, owner_local_index, best_value = comm.argmax_allreduce(best_value, best_local)
         require(math.isfinite(best_value), "no candidate available for selection")
         global_index = int(state.offsets[owner] + owner_local_index)
         selected.append(global_index)
-        if comm.rank == owner and not cfg.allow_repeats:
+        if comm.rank == owner:
             available[owner_local_index] = False
 
         # Line 8 + bcast of the winner's (x, h) to all ranks.

@@ -64,6 +64,18 @@ class TestApproxRound:
         assert len(set(result.selected_indices.tolist())) == 6
 
 
+class TestRoundConfig:
+    def test_one_shot_eta_grid_is_stored(self):
+        cfg = RoundConfig(eta_grid=(e for e in [0.5, 2.0]))
+        assert cfg.eta_grid == (0.5, 2.0)
+
+    def test_one_shot_eta_grid_is_validated(self):
+        with pytest.raises(ValueError, match="positive"):
+            RoundConfig(eta_grid=iter([1.0, -1.0]))
+        with pytest.raises(ValueError, match="empty"):
+            RoundConfig(eta_grid=iter([]))
+
+
 class TestBatchMinEigenvalue:
     def test_positive_for_reasonable_batch(self, dataset):
         score = selected_batch_min_eigenvalue(dataset, np.arange(10))

@@ -12,6 +12,8 @@ The acceptance pins of the fault-tolerance layer:
   garbage.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,21 @@ class TestCheckpointValidation:
                 STRATEGY_FACTORIES["random"](),
                 config=SessionConfig(reuse_eta=True),
             )
+        # A removed mode (no longer fingerprinted) must have been off: a
+        # checkpoint written with it on is refused, never resumed without it.
+        payload = json.loads(ckpt.read_text())
+        payload["config"]["relax_warm_start"] = True
+        ckpt.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="relax_warm_start"):
+            ActiveSession.resume(ckpt, problem, STRATEGY_FACTORIES["random"]())
+        # Written with it off, the checkpoint resumes bit-identically.
+        payload["config"]["relax_warm_start"] = False
+        ckpt.write_text(json.dumps(payload))
+        resumed = ActiveSession.resume(ckpt, problem, STRATEGY_FACTORIES["random"]())
+        resumed.run(3, record_initial=False)
+        full = _run_full(problem, STRATEGY_FACTORIES["random"])
+        _assert_curves_identical(full.result, resumed.result)
+        np.testing.assert_array_equal(full.store.labeled_ids, resumed.store.labeled_ids)
 
     def test_strategy_mismatch_rejected(self, problem, tmp_path):
         ckpt = self._checkpoint(problem, tmp_path)
@@ -177,8 +194,6 @@ class TestCheckpointValidation:
             ActiveSession.resume(ckpt, problem, STRATEGY_FACTORIES["entropy"]())
 
     def test_unsupported_format_version_rejected(self, problem, tmp_path):
-        import json
-
         ckpt = self._checkpoint(problem, tmp_path)
         payload = json.loads(ckpt.read_text())
         payload["format_version"] = 999

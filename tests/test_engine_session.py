@@ -9,9 +9,9 @@ only to track stable global ids) and is the reference the session is pinned
 against.
 
 Also covered here: the strategy lifecycle protocol (``begin_session`` /
-``observe_labels``, the stateless adapter), the ``PointStore`` bookkeeping,
-the value-exact ``resident_pool`` mode, the round-1 exactness of
-``incremental_fisher``, and the FIRAL RELAX warm start.
+``observe_labels``, the stateless adapter), the ``DensePointStore``
+bookkeeping, the value-exact ``resident_pool`` mode, the round-1 exactness of
+``incremental_fisher``, and FIRAL's cross-round η reuse.
 """
 
 from __future__ import annotations
@@ -356,55 +356,6 @@ class TestLifecycleProtocol:
         assert ensure_lifecycle(strategy) is strategy
 
 
-class TestRelaxWarmStart:
-    def test_warm_start_state_threads_across_rounds(self, problem):
-        strategy = _approx_firal_strategy()
-        session = ActiveSession(
-            problem,
-            strategy,
-            budget_per_round=4,
-            num_rounds=3,
-            seed=0,
-            config=SessionConfig(relax_warm_start=True),
-        )
-        result = session.run(3)
-        assert strategy._previous is not None
-        prev_ids, prev_weights = strategy._previous
-        np.testing.assert_array_equal(prev_ids, np.sort(prev_ids))
-        assert prev_weights.shape == prev_ids.shape
-        assert np.all(prev_weights >= 0.0)
-        # All selected ids distinct across rounds.
-        gids = session.store.labeled_ids
-        assert np.unique(gids).size == gids.size
-        assert len(result.records) == 4
-
-    def test_warm_start_stays_cold_without_pool_ids(self, problem):
-        """Under the id-less legacy context the strategy must not warm-start."""
-
-        strategy = FIRALStrategy(
-            ApproxFIRAL(RelaxConfig(max_iterations=6, seed=0), RoundConfig(eta=1.0)),
-            warm_start=True,
-        )
-        legacy_result, _ = _legacy_run(problem, strategy, num_rounds=2, budget_per_round=4, seed=0)
-        assert strategy._previous is None  # never armed without ids
-        assert len(legacy_result.records) == 3
-
-    def test_explicit_flag_overrides_session(self, problem):
-        strategy = FIRALStrategy(
-            ApproxFIRAL(RelaxConfig(max_iterations=6, seed=0), RoundConfig(eta=1.0)),
-            warm_start=False,
-        )
-        ActiveSession(
-            problem,
-            strategy,
-            budget_per_round=4,
-            num_rounds=2,
-            seed=0,
-            config=SessionConfig(relax_warm_start=True),
-        ).run(2)
-        assert not strategy._warm_start_active
-
-
 class TestEtaReuse:
     def _grid_strategy(self, **kw):
         return FIRALStrategy(
@@ -445,8 +396,8 @@ class TestEtaReuse:
     def test_fast_config_enables_reuse_and_residency(self):
         cfg = SessionConfig.fast()
         assert cfg.reuse_eta and cfg.resident_pool
-        # Measured counterproductive at the benchmark scale; stay opt-in.
-        assert not cfg.relax_warm_start and not cfg.incremental_fisher
+        # Measured counterproductive at the benchmark scale; stays opt-in.
+        assert not cfg.incremental_fisher
 
 
 class TestPointStore:
@@ -570,7 +521,7 @@ class TestParallelSession:
             )
 
     def test_parallel_ranks_ignored_by_baselines(self, problem):
-        """Non-FIRAL strategies ignore the request, like relax_warm_start."""
+        """Non-FIRAL strategies ignore the request, like reuse_eta."""
 
         session = ActiveSession(
             problem,

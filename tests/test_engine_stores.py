@@ -2,8 +2,7 @@
 
 The contract of the store refactor:
 
-* ``DensePointStore`` **is** the historical ``PointStore`` (true alias) and
-  a session configured with it explicitly selects bit-identically to the
+* a session configured with ``DensePointStore`` explicitly selects bit-identically to the
   default session for every strategy (the default session itself is pinned
   against the frozen pre-refactor driver in ``test_engine_session.py``);
 * a ``ShardedPointStore`` session with ``parallel_ranks`` selects
@@ -11,8 +10,7 @@ The contract of the store refactor:
   but the algorithm is partition-invariant;
 * a ``StreamingPointStore`` session runs end-to-end with between-round
   replenishment: ids stay stable across ``extend()``, replenished points
-  are selectable, and FIRAL's RELAX warm start falls back to a cold start
-  when unseen ids appear;
+  are selectable;
 * the in-rank η grid search (``distributed_round_search``) matches the
   serial ``select_eta`` winner inside a single SPMD launch.
 """
@@ -78,10 +76,7 @@ def _run(problem, strategy, config=None, num_rounds=3, seed=0):
 # protocol / dense store
 # --------------------------------------------------------------------- #
 class TestPoolStoreProtocol:
-    def test_point_store_is_deprecated_dense_alias(self):
-        with pytest.warns(DeprecationWarning, match="DensePointStore"):
-            from repro.engine.pool import PointStore
-        assert PointStore is DensePointStore
+    def test_store_kinds(self):
         assert issubclass(DensePointStore, PoolStore)
         assert DensePointStore.kind == "dense"
         assert ShardedPointStore.kind == "sharded"
@@ -409,9 +404,7 @@ class TestStreamingPointStore:
             strategy,
             budget_per_round=4,
             seed=0,
-            config=SessionConfig(
-                store=StreamingPointStore.from_problem, relax_warm_start=True
-            ),
+            config=SessionConfig(store=StreamingPointStore.from_problem),
         )
         rng = np.random.default_rng(13)
         for _ in range(3):
@@ -423,37 +416,6 @@ class TestStreamingPointStore:
         gids = session.store.labeled_ids
         assert np.unique(gids).size == gids.size
         assert session.store.pool_size == problem.pool_size - 12 + 15
-
-    def test_warm_start_cold_falls_back_on_unseen_ids(self):
-        """FIRAL's previous-z* restriction bails out when the pool gained ids."""
-
-        strategy = FIRALStrategy(
-            ApproxFIRAL(RelaxConfig(max_iterations=2, seed=0), RoundConfig(eta=1.0)),
-            warm_start=True,
-        )
-        prev_ids = np.array([3, 4, 5, 6], dtype=np.int64)
-        strategy._previous = (prev_ids, np.full(4, 0.25))
-        rng = np.random.default_rng(0)
-
-        def context_for(pool_ids):
-            n = pool_ids.size
-            return SelectionContext(
-                pool_features=rng.standard_normal((n, 3)),
-                pool_probabilities=np.full((n, 2), 0.5),
-                labeled_features=rng.standard_normal((2, 3)),
-                labeled_probabilities=np.full((2, 2), 0.5),
-                budget=1,
-                rng=rng,
-                pool_ids=pool_ids,
-            )
-
-        # Shrunken pool (labeling only): the surviving weights are reused.
-        surviving = strategy._warm_start_weights(context_for(np.array([3, 5], dtype=np.int64)))
-        np.testing.assert_allclose(surviving, [0.25, 0.25])
-        # Replenished pool (ids 7, 9 unseen): cold start.
-        assert strategy._warm_start_weights(
-            context_for(np.array([3, 5, 7, 9], dtype=np.int64))
-        ) is None
 
 
 # --------------------------------------------------------------------- #

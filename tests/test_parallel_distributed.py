@@ -98,19 +98,6 @@ class TestDistributedRound:
             distributed_round(dataset, np.ones(3), 2, 1.0, num_ranks=2)
 
 
-class TestDistributedRelaxWarmStart:
-    def test_initial_weights_match_serial(self, dataset):
-        """The driver slices the warm-start iterate exactly as the serial solver."""
-
-        rng = np.random.default_rng(3)
-        z0 = rng.uniform(0.1, 1.0, size=dataset.num_pool)
-        serial = approx_relax(dataset, budget=6, config=relax_config(), initial_weights=z0)
-        distributed = distributed_relax(
-            dataset, 6, num_ranks=1, config=relax_config(), initial_weights=z0
-        )
-        np.testing.assert_allclose(distributed.weights, serial.weights, rtol=1e-6, atol=1e-9)
-
-
 class TestDistributedApproxFIRAL:
     """The full RELAX → η → ROUND selector over distributed solvers."""
 

@@ -1,18 +1,14 @@
-"""The curated public surface: explicit ``__all__``, lazy serve exports,
-deprecated ``PointStore`` alias.
+"""The curated public surface: explicit ``__all__`` and lazy serve exports.
 
 Every name a user is told to import must resolve; the serving layer loads
 lazily (so ``import repro`` stays cheap for batch scripts) but lands in the
-same namespace; the legacy ``PointStore`` alias keeps working on every
-historical import path — warning, not breaking.
+same namespace.
 """
 
 from __future__ import annotations
 
 import subprocess
 import sys
-
-import pytest
 
 import repro
 import repro.engine
@@ -35,6 +31,11 @@ class TestAllResolves:
         assert repro.ServeConfig is ServeConfig
         assert repro.SessionSpec is SessionSpec
 
+    def test_dense_point_store_reexported(self):
+        assert repro.DensePointStore is repro.engine.DensePointStore
+        assert not hasattr(repro, "PointStore")
+        assert not hasattr(repro.engine, "PointStore")
+
     def test_query_proposal_reexported(self):
         from repro.engine.session import QueryProposal
 
@@ -48,20 +49,3 @@ class TestAllResolves:
         proc = subprocess.run([sys.executable, "-c", code])
         assert proc.returncode == 0
 
-
-class TestPointStoreDeprecation:
-    @pytest.mark.parametrize(
-        "module", ["repro", "repro.engine", "repro.engine.pool"]
-    )
-    def test_alias_warns_and_resolves(self, module):
-        import importlib
-
-        mod = importlib.import_module(module)
-        with pytest.warns(DeprecationWarning, match="deprecated alias of DensePointStore"):
-            alias = getattr(mod, "PointStore")
-        assert alias is repro.DensePointStore
-
-    def test_dense_point_store_does_not_warn(self, recwarn):
-        assert repro.DensePointStore is repro.engine.DensePointStore
-        deprecations = [w for w in recwarn.list if w.category is DeprecationWarning]
-        assert deprecations == []
