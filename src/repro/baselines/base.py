@@ -324,8 +324,8 @@ class SelectionStrategy(abc.ABC):
     """Base class for batch selection methods.
 
     Subclasses implement :meth:`select`; the lifecycle hooks
-    :meth:`begin_session` / :meth:`observe_labels` default to no-ops so
-    stateless strategies need not know sessions exist.
+    :meth:`begin_session` / :meth:`observe_labels` / :meth:`end_session`
+    default to no-ops so stateless strategies need not know sessions exist.
     """
 
     #: human-readable method name used in result tables / plots
@@ -350,6 +350,14 @@ class SelectionStrategy(abc.ABC):
 
     def observe_labels(self, observation: LabelObservation) -> None:
         """Lifecycle hook: the oracle revealed a round's labels (no-op default)."""
+
+    def end_session(self) -> None:
+        """Lifecycle hook: release what the session held (no-op default).
+
+        The session calls it after its last planned round and when it is
+        closed.  A strategy asked to select again afterwards must still
+        work, re-acquiring what it released.
+        """
 
     def state_dict(self) -> dict:
         """JSON-serializable cross-round state for session checkpointing.
@@ -422,10 +430,12 @@ class FIRALStrategy(SelectionStrategy):
     RELAX + ROUND solves are routed through
     :class:`~repro.parallel.firal.DistributedApproxFIRAL` over ``N`` ranks of
     the requested transport — threads (``"simulated"``) or real spawned OS
-    processes (``"shared_memory"``).  The distributed RELAX solver runs its
-    fixed iteration budget without objective tracking, so the wrapped
-    selector's ``relax_config`` is normalized to ``track_objective="none"``
-    (see :mod:`repro.parallel.firal`); Exact-FIRAL has no distributed
+    processes (``"shared_memory"``).  Those processes stay alive across
+    rounds; :meth:`end_session` stops them, and so does replacing the
+    distributed selector.  The distributed RELAX solver runs its fixed
+    iteration budget without objective tracking, so the wrapped selector's
+    ``relax_config`` is normalized to ``track_objective="none"`` (see
+    :mod:`repro.parallel.firal`); Exact-FIRAL has no distributed
     formulation and rejects the request.
 
     Under a **prefiltered session** (``SessionConfig.prefilter``) the round's
@@ -515,7 +525,7 @@ class FIRALStrategy(SelectionStrategy):
         self._session_on_rank_failure = info.on_rank_failure
         self._session_fault_plan = info.fault_plan
         self._recovered_ranks = None
-        self._distributed_selector = None
+        self._replace_distributed_selector(None)
         self._previous_eta = None
         self.last_result = None
         self.recovery_events = []
@@ -524,6 +534,17 @@ class FIRALStrategy(SelectionStrategy):
             # distributed — and build the distributed selector eagerly so the
             # first round already executes multi-rank.
             self._effective_selector()
+
+    def end_session(self) -> None:
+        if self._distributed_selector is not None:
+            self._distributed_selector.close()
+
+    def _replace_distributed_selector(self, selector) -> None:
+        """Swap the distributed selector, stopping the old one's rank processes."""
+
+        if self._distributed_selector is not None and self._distributed_selector is not selector:
+            self._distributed_selector.close()
+        self._distributed_selector = selector
 
     @property
     def _reuse_eta_active(self) -> bool:
@@ -588,7 +609,7 @@ class FIRALStrategy(SelectionStrategy):
             or self._distributed_selector.transport != self._parallel_transport_active
             or self._distributed_selector.fault_plan is not self._fault_plan_active
         ):
-            self._distributed_selector = self._build_distributed_selector(int(ranks))
+            self._replace_distributed_selector(self._build_distributed_selector(int(ranks)))
         return self._distributed_selector
 
     def _select_with_recovery(self, selector, dataset, context: SelectionContext, kwargs):
@@ -641,7 +662,7 @@ class FIRALStrategy(SelectionStrategy):
                     }
                 )
                 self._recovered_ranks = ranks
-                self._distributed_selector = recovery
+                self._replace_distributed_selector(recovery)
                 return result
             raise last_error
 

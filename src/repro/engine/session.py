@@ -1049,7 +1049,26 @@ class ActiveSession:
         self.result.records.append(record)
         self.round_index += 1
         self._pending = None
+        if self.planned_rounds is not None and self.round_index >= self.planned_rounds:
+            # The planned run is over: let the strategy release what it held
+            # across rounds (a multi-rank selector's rank processes).
+            self._end_strategy_session()
         return record
+
+    def _end_strategy_session(self) -> None:
+        end_session = getattr(self.strategy, "end_session", None)
+        if end_session is not None:
+            end_session()
+
+    def close(self) -> None:
+        """Release what the strategy holds between rounds, such as rank processes.
+
+        Joins an in-flight eager prefetch first.  The session stays usable: a
+        later round re-acquires what it needs.
+        """
+
+        self._sync_prefetch()
+        self._end_strategy_session()
 
     def step(self) -> RoundRecord:
         """Run one full selection round: select, reveal labels, retrain, record.

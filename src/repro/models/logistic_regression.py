@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 from scipy import optimize
 
-from repro.models.softmax import nll_and_gradient, softmax_probabilities
+from repro.models.softmax import nll_and_gradient
 from repro.utils.validation import check_features, check_labels, require
 
 __all__ = ["LogisticRegressionClassifier"]
@@ -69,11 +69,28 @@ class LogisticRegressionClassifier:
         self.final_loss_: Optional[float] = None
 
     # ------------------------------------------------------------------ #
-    def _augment(self, X: np.ndarray) -> np.ndarray:
+    def _design_matrix(self, X) -> np.ndarray:
+        """Validated float64 features, with the intercept column when enabled.
+
+        The intercept variant is built in one ``(n, d + 1)`` allocation
+        instead of a float64 copy followed by a concatenation.
+        """
+
         if not self.fit_intercept:
+            X = np.asarray(X, dtype=np.float64)
+            check_features(X)
             return X
-        ones = np.ones((X.shape[0], 1), dtype=X.dtype)
-        return np.concatenate([X, ones], axis=1)
+        X = np.asarray(X)
+        require(X.ndim == 2, f"X must be 2-D (n, d); got shape {tuple(X.shape)}")
+        n, d = X.shape
+        Xa = np.empty((n, d + 1), dtype=np.float64)
+        Xa[:, :d] = X
+        check_features(Xa[:, :d])
+        Xa[:, d] = 1.0
+        return Xa
+
+    def _check_dimension(self, Xa: np.ndarray) -> None:
+        require(Xa.shape[1] - int(self.fit_intercept) == self.n_features_, "feature dimension mismatch")
 
     def fit(self, X, y, sample_weight=None) -> "LogisticRegressionClassifier":
         """Fit the classifier on labeled data.
@@ -81,11 +98,10 @@ class LogisticRegressionClassifier:
         Returns ``self`` to allow scikit-learn style chaining.
         """
 
-        X = check_features(np.asarray(X, dtype=np.float64))
+        Xa = self._design_matrix(X)
         y = check_labels(y, num_classes=self.num_classes)
-        require(X.shape[0] == y.shape[0], "X and y must have the same number of rows")
-        self.n_features_ = X.shape[1]
-        Xa = self._augment(X)
+        require(Xa.shape[0] == y.shape[0], "X and y must have the same number of rows")
+        self.n_features_ = Xa.shape[1] - int(self.fit_intercept)
         d_aug = Xa.shape[1]
 
         if self.warm_start and self.weights_ is not None and self.weights_.shape == (d_aug, self.num_classes):
@@ -122,12 +138,22 @@ class LogisticRegressionClassifier:
             raise RuntimeError("classifier is not fitted; call fit() first")
 
     def predict_proba(self, X) -> np.ndarray:
-        """Class probabilities ``p(y | x)`` for every row of ``X``."""
+        """Class probabilities ``p(y | x)`` for every row of ``X``.
+
+        :func:`~repro.models.softmax.softmax_probabilities`' formula
+        ``exp(shifted - log(sum(exp(shifted))))`` in the same operation
+        order, computed in place on the logits.  The design matrix is
+        released before the softmax allocates its one temporary.
+        """
 
         self._check_fitted()
-        X = check_features(np.asarray(X, dtype=np.float64))
-        require(X.shape[1] == self.n_features_, "feature dimension mismatch")
-        return softmax_probabilities(self._augment(X), self.weights_)
+        Xa = self._design_matrix(X)
+        self._check_dimension(Xa)
+        logits = Xa @ self.weights_
+        del Xa
+        logits -= logits.max(axis=1, keepdims=True)
+        logits -= np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        return np.exp(logits, out=logits)
 
     def predict(self, X) -> np.ndarray:
         """Most likely class index for every row of ``X``."""
@@ -138,9 +164,9 @@ class LogisticRegressionClassifier:
         """Raw logits ``X theta`` (with intercept if enabled)."""
 
         self._check_fitted()
-        X = check_features(np.asarray(X, dtype=np.float64))
-        require(X.shape[1] == self.n_features_, "feature dimension mismatch")
-        return self._augment(X) @ self.weights_
+        Xa = self._design_matrix(X)
+        self._check_dimension(Xa)
+        return Xa @ self.weights_
 
     def score(self, X, y) -> float:
         """Mean accuracy on the given data."""

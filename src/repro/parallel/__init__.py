@@ -12,7 +12,9 @@ inter-GPU communication (§ III-C).  This package provides:
   counts and volumes identically, so the analytic cost model of
   :mod:`repro.perfmodel` applies to simulated and real runs alike.
 * :mod:`repro.parallel.launcher` — :func:`run_spmd`, which executes one
-  per-rank entry point per rank over either transport.
+  per-rank entry point per rank over either transport, and
+  :class:`RankPool`, the rank processes that serve a session's
+  shared-memory launches from its first round to its end.
 * :mod:`repro.parallel.partition` — block partitioning of pool points and of
   class blocks across ranks.
 * :mod:`repro.parallel.distributed_relax` / ``distributed_round`` — per-rank
@@ -42,7 +44,7 @@ from repro.parallel.comm import (
     SimulatedComm,
     create_communicators,
 )
-from repro.parallel.launcher import RankFailedError, SPMD_ATTEMPT_ENV, TRANSPORTS, run_spmd
+from repro.parallel.launcher import RankFailedError, RankPool, SPMD_ATTEMPT_ENV, TRANSPORTS, run_spmd
 from repro.parallel.faults import (
     FaultInjectingComm,
     FaultInjectingEntry,
@@ -73,6 +75,7 @@ __all__ = [
     "HostStagedComm",
     "InjectedFaultError",
     "RankFailedError",
+    "RankPool",
     "SPMD_ATTEMPT_ENV",
     "SharedMemoryComm",
     "SimulatedComm",

@@ -9,8 +9,8 @@ behind one :class:`Comm` protocol with two implementations:
   shared slot table, and each computes the combined result locally.  Under
   the torch backend the per-rank buffers stay tensors end to end, matching
   how the real code keeps buffers on-GPU and lets CUDA-aware MPI reduce them.
-* :class:`SharedMemoryComm` — every rank is a real OS process (spawned by
-  :mod:`repro.parallel.launcher`).  Contributions travel through a
+* :class:`SharedMemoryComm` — every rank is a real OS process (a rank of a
+  :class:`repro.parallel.launcher.RankPool`).  Contributions travel through a
   ``multiprocessing.shared_memory`` segment carved into one slot per rank;
   a ``multiprocessing.Barrier`` plus per-slot sequence numbers and collective
   tags implement the post → combine → release protocol and catch ranks that
@@ -528,9 +528,10 @@ _NO_PAYLOAD = 0xFF
 class SharedMemoryComm(_CollectiveBody):
     """One rank of a real multiprocess communicator.
 
-    The launcher allocates one ``multiprocessing.shared_memory`` segment of
-    ``size`` slots (each ``_HEADER_BYTES + capacity_bytes`` long) plus a
-    ``multiprocessing.Barrier``, spawns ``size`` processes, and hands every
+    The launcher's :class:`~repro.parallel.launcher.RankPool` owns ``size``
+    rank processes and one ``multiprocessing.Barrier``; for each launch it
+    allocates one ``multiprocessing.shared_memory`` segment of ``size``
+    slots (each ``_HEADER_BYTES + capacity_bytes`` long) and hands every
     process the pieces to attach this handle.  A collective follows the same
     two-phase protocol as :class:`SimulatedComm` — post, rendezvous, combine,
     rendezvous — with the slot table living in shared memory:

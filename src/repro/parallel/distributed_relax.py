@@ -20,7 +20,7 @@ communication pattern of § III-C:
 
 :func:`distributed_relax` is the driver: it partitions the dataset, launches
 the rank program over the requested transport — threads
-(``transport="simulated"``) or real spawned processes
+(``transport="simulated"``) or real OS processes
 (``transport="shared_memory"``) via :func:`repro.parallel.launcher.run_spmd`
 — and merges the per-rank outputs.  Per-rank compute seconds are measured for
 each component so the strong/weak scaling figures can combine
@@ -304,6 +304,7 @@ def distributed_relax(
     offsets: Optional[np.ndarray] = None,
     fault_plan=None,
     devices: Optional[Sequence[str]] = None,
+    pool=None,
 ) -> DistributedRelaxResult:
     """Run Algorithm 2 over ``num_ranks`` ranks of the chosen transport.
 
@@ -321,10 +322,12 @@ def distributed_relax(
     :func:`repro.core.approx_relax.approx_relax` with the same configuration,
     which the test suite verifies; with ``transport="simulated"`` and one
     rank the trajectory is bit-identical to the serial solver.
-    ``transport="shared_memory"`` runs every rank as a real spawned OS
-    process communicating over shared memory; results match the simulated
-    transport up to the floating-point effects of crossing a process
-    boundary (none on the NumPy backend — the wire format is exact).
+    ``transport="shared_memory"`` runs every rank as a real OS process
+    communicating over shared memory, on the processes of ``pool`` (a
+    :class:`~repro.parallel.launcher.RankPool`) when given and on a one-shot
+    pool otherwise; results match the simulated transport up to the
+    floating-point effects of crossing a process boundary (none on the NumPy
+    backend — the wire format is exact).
     """
 
     require(budget > 0, "budget must be positive")
@@ -380,6 +383,7 @@ def distributed_relax(
             cfg.num_probes,
         ),
         timeout=timeout,
+        pool=pool,
     )
     require(
         len({output.iterations for output in outputs}) == 1,

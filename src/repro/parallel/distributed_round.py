@@ -19,15 +19,16 @@ every grid trial's full selection loop plus the min-eigenvalue scoring rule
 (each rank contributes the block-Hessian partial of the selected points it
 owns; one ``MPI_Allreduce`` of ``c d^2`` floats per trial) — the SPMD
 analogue of the serial path where ``select_eta`` threads one
-``RoundPrecompute`` through every trial.  Spawn cost and the ``Sigma_*``
+``RoundPrecompute`` through every trial.  Launch cost and the ``Sigma_*``
 assembly are paid once per *grid*, not once per trial.
 
 :func:`distributed_round` / :func:`distributed_round_search` are the
 drivers: they partition the dataset (balanced by default, or along a
 sharded pool store's ownership boundaries via ``offsets=``) and run the
-rank program over threads (``transport="simulated"``) or real spawned
-processes (``transport="shared_memory"``) via
-:func:`repro.parallel.launcher.run_spmd`, then merge the per-rank outputs.
+rank program over threads (``transport="simulated"``) or real OS
+processes (``transport="shared_memory"``, on the caller's ``pool`` when
+given) via :func:`repro.parallel.launcher.run_spmd`, then merge the
+per-rank outputs.
 All shard data and collective payloads are arrays of the active backend; the
 per-class generalized eigensolves go through the backend's promoted linear
 algebra (``eigh_generalized``).
@@ -457,6 +458,7 @@ def distributed_round(
     offsets: Optional[np.ndarray] = None,
     fault_plan=None,
     devices: Optional[Sequence[str]] = None,
+    pool=None,
 ) -> DistributedRoundResult:
     """Run Algorithm 3 over ``num_ranks`` ranks of the chosen transport.
 
@@ -469,7 +471,9 @@ def distributed_round(
     each rank's shard and local math to the named device (one entry per
     rank, e.g. ``round_robin_device_map``'s output); collectives are then
     staged through the host, and on host backends the pinned run is
-    bit-identical to the unpinned one.
+    bit-identical to the unpinned one.  ``pool`` is the
+    :class:`~repro.parallel.launcher.RankPool` a shared-memory launch runs
+    on; ``None`` runs it on a one-shot pool.
     """
 
     require(budget > 0, "budget must be positive")
@@ -490,6 +494,7 @@ def distributed_round(
         transport=transport,
         max_message_bytes=round_message_bytes(dataset.num_classes, dataset.dimension),
         timeout=timeout,
+        pool=pool,
     )
     selected = outputs[0].selected_indices
     for output in outputs[1:]:
@@ -520,18 +525,21 @@ def distributed_round_search(
     offsets: Optional[np.ndarray] = None,
     fault_plan=None,
     devices: Optional[Sequence[str]] = None,
+    pool=None,
 ) -> Tuple[DistributedRoundResult, float]:
     """Run the § IV-A η grid search inside **one** ``run_spmd`` launch.
 
     The serial path (:func:`repro.core.eta_selection.select_eta`) already
     hoists the η-independent ``RoundPrecompute`` out of the grid loop; this
-    is its distributed analogue — one spawn, one shard scatter and one
+    is its distributed analogue — one launch, one shard scatter and one
     ``Sigma_*`` assembly for the whole grid, instead of one full
-    :func:`distributed_round` launch per trial (which under
-    ``transport="shared_memory"`` paid ~1 s of interpreter start-up per rank
-    per trial).  Returns ``(result, score)`` with the same semantics as
-    ``select_eta``: the winning trial's selection, η and
-    ``min_k lambda_min(H_k)`` score, ties keeping the earliest grid entry.
+    :func:`distributed_round` launch per trial.  Returns ``(result, score)``
+    with the same semantics as ``select_eta``: the winning trial's
+    selection, η and ``min_k lambda_min(H_k)`` score, ties keeping the
+    earliest grid entry.  ``pool`` is the
+    :class:`~repro.parallel.launcher.RankPool` a shared-memory launch runs
+    on (see :func:`~repro.parallel.launcher.run_spmd`); a session's selector
+    passes the one it keeps, so rank processes start once per session.
     """
 
     require(budget > 0, "budget must be positive")
@@ -559,6 +567,7 @@ def distributed_round_search(
         transport=transport,
         max_message_bytes=round_message_bytes(dataset.num_classes, dataset.dimension),
         timeout=timeout,
+        pool=pool,
     )
     selected = outputs[0].selected_indices
     for output in outputs[1:]:

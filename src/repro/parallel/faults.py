@@ -15,8 +15,8 @@ without real hardware needs a harness that makes a *chosen* rank fail at a
   ``SharedMemoryComm`` alike), so every failure mode runs under threads in
   tier-1 CI and under real OS processes in the chaos lane.
 * :class:`FaultInjectingEntry` — a picklable entry-point wrapper for
-  :func:`~repro.parallel.launcher.run_spmd`, so the spawn transport can ship
-  the plan into rank processes.
+  :func:`~repro.parallel.launcher.run_spmd`, so the shared-memory transport
+  can ship the plan to its rank processes with each launch.
 
 Failure semantics by mode:
 
@@ -241,8 +241,8 @@ class FaultInjectingComm:
 class FaultInjectingEntry:
     """Picklable wrapper: run ``entry`` with its comm wrapped for injection.
 
-    ``run_spmd``'s spawn transport pickles the entry point into rank
-    processes, so this is a module-level class holding only picklable state
+    ``run_spmd``'s shared-memory transport pickles the entry point to its
+    rank processes, so this is a module-level class holding only picklable state
     (the entry function and the frozen plan) rather than a closure.
     """
 

@@ -22,10 +22,20 @@ identically on the NumPy backend, which the engine test suite pins.
 The § IV-A η grid search runs **in-rank**: one ``run_spmd`` launch executes
 the whole grid plus the min-eigenvalue scoring
 (:func:`repro.parallel.distributed_round.distributed_round_search`), so the
-spawn cost and the η-independent ``Sigma_*`` setup are amortized over the
+launch cost and the η-independent ``Sigma_*`` setup are amortized over the
 grid exactly the way the serial path hoists them once via
-``RoundPrecompute`` — under ``transport="shared_memory"`` this is one
-process spawn per round instead of one per grid trial.
+``RoundPrecompute``.  A round is therefore two launches: RELAX, then the
+grid search.
+
+Under ``transport="shared_memory"`` the selector keeps one
+:class:`~repro.parallel.launcher.RankPool`, so both launches of every round
+run on the same rank processes.  They are spawned at the first launch
+(building the selector starts nothing) and stopped by :meth:`close` — which
+``FIRALStrategy`` calls when the session ends or the selector is replaced —
+by a failed launch (the next one respawns) or when the selector is
+garbage-collected.  A rank process left running past its owner would keep
+multiprocessing's resource-tracker pipe open, and a program that stops the
+tracker at exit would then wait on it forever.
 
 When the driving session stores its pool in a
 :class:`~repro.engine.ShardedPointStore`, the per-round shard boundaries are
@@ -47,7 +57,7 @@ from repro.core.firal import _FIRALBase
 from repro.fisher.operators import FisherDataset
 from repro.parallel.distributed_relax import distributed_relax
 from repro.parallel.distributed_round import distributed_round, distributed_round_search
-from repro.parallel.launcher import TRANSPORTS
+from repro.parallel.launcher import TRANSPORTS, RankPool
 from repro.utils.validation import require
 
 __all__ = ["DistributedApproxFIRAL"]
@@ -64,6 +74,7 @@ class DistributedApproxFIRAL(_FIRALBase):
         module docstring); everything else is preserved.
     num_ranks:
         Communicator size — threads (simulated) or processes (shared memory).
+        Under shared memory the processes are those of :attr:`pool`.
     transport:
         ``"simulated"`` or ``"shared_memory"``.
     timeout:
@@ -109,6 +120,17 @@ class DistributedApproxFIRAL(_FIRALBase):
         #: a device-pinned sharded store's placement map); ``None`` leaves
         #: placement to the backend.
         self.rank_devices: Optional[tuple] = None
+        #: The rank processes every shared-memory launch runs on (``None``
+        #: under the simulated transport); see the module docstring.
+        self.pool: Optional[RankPool] = (
+            RankPool(self.num_ranks) if transport == "shared_memory" else None
+        )
+
+    def close(self) -> None:
+        """Stop the rank processes, if any run; a later ``select`` respawns them."""
+
+        if self.pool is not None:
+            self.pool.close()
 
     # ------------------------------------------------------------------ #
     # _FIRALBase hooks
@@ -124,6 +146,7 @@ class DistributedApproxFIRAL(_FIRALBase):
             offsets=self.partition_offsets,
             fault_plan=self.fault_plan,
             devices=self.rank_devices,
+            pool=self.pool,
         )
 
     def _round_solver_call(self, dataset, z_relaxed, budget, eta, config):
@@ -141,6 +164,7 @@ class DistributedApproxFIRAL(_FIRALBase):
             offsets=self.partition_offsets,
             fault_plan=self.fault_plan,
             devices=self.rank_devices,
+            pool=self.pool,
         )
 
     def _round(self, dataset: FisherDataset, weights: Array, budget: int, eta: float):
@@ -159,4 +183,5 @@ class DistributedApproxFIRAL(_FIRALBase):
             offsets=self.partition_offsets,
             fault_plan=self.fault_plan,
             devices=self.rank_devices,
+            pool=self.pool,
         )

@@ -11,12 +11,16 @@ their outputs in rank order, over either transport:
   ``threading.Barrier``; NumPy/torch kernels release the GIL, so rank compute
   genuinely overlaps.  A failing rank aborts the barrier so its peers raise
   :class:`~repro.parallel.comm.CommAbortedError` instead of deadlocking.
-* ``transport="shared_memory"`` — ranks are real OS processes started with
-  the spawn-safe ``multiprocessing`` context, communicating through a
-  :class:`~repro.parallel.comm.SharedMemoryComm` over one shared-memory
-  segment.  The entry point and per-rank arguments must be picklable (the
-  entry point must be a module-level function); results come back over a
-  queue and are re-ordered by rank.
+* ``transport="shared_memory"`` — ranks are real OS processes of a
+  :class:`RankPool`, started with the spawn-safe ``multiprocessing`` context
+  and communicating through a :class:`~repro.parallel.comm.SharedMemoryComm`
+  over one shared-memory segment per launch.  A pool's processes serve
+  launch after launch, so an owner that keeps one pool (a
+  :class:`~repro.parallel.firal.DistributedApproxFIRAL` keeps one per
+  session) pays the process start-up once; a launch without a pool runs on
+  a one-shot pool.  The entry point and per-rank arguments must be
+  picklable (the entry point must be a module-level function); results come
+  back over one pipe per rank.
 
 Both transports produce per-rank outputs the drivers in
 ``distributed_relax`` / ``distributed_round`` merge into one result;
@@ -31,6 +35,7 @@ import os
 import threading
 import time
 import traceback
+import weakref
 from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
@@ -50,6 +55,7 @@ from repro.utils.validation import require
 __all__ = [
     "ComponentTimers",
     "RankFailedError",
+    "RankPool",
     "SPMD_ATTEMPT_ENV",
     "TRANSPORTS",
     "collective_log",
@@ -66,9 +72,10 @@ TRANSPORTS = ("simulated", "shared_memory")
 DEFAULT_MESSAGE_BYTES = 1 << 22
 
 #: Environment variable carrying the zero-based launch attempt of the current
-#: :func:`run_spmd` call.  Set for both transports (spawned rank processes
-#: inherit it), so attempt-gated fault plans (`FaultPlan.attempt`) can model
-#: *transient* failures that vanish on retry.
+#: :func:`run_spmd` call.  Set for both transports (a pool's rank processes
+#: receive the attempt with each launch message and set it themselves), so
+#: attempt-gated fault plans (`FaultPlan.attempt`) can model *transient*
+#: failures that vanish on retry.
 SPMD_ATTEMPT_ENV = "REPRO_SPMD_ATTEMPT"
 
 RankMain = Callable[[Comm, Any], Any]
@@ -116,27 +123,33 @@ class ComponentTimers:
     def __init__(self, components: Sequence[str] = ()):
         self.seconds = {name: 0.0 for name in components}
 
-    def timed(self, component: str):
-        timers = self
+    def timed(self, component: str) -> "_TimedSpan":
+        return _TimedSpan(self.seconds, component)
 
-        class _Ctx:
-            def __enter__(self):
-                self._start = time.perf_counter()
-                return self
 
-            def __exit__(self, *exc):
-                timers.seconds[component] = timers.seconds.get(component, 0.0) + (
-                    time.perf_counter() - self._start
-                )
-                return False
+class _TimedSpan:
+    """Context manager adding its wall-clock span to ``seconds[component]``."""
 
-        return _Ctx()
+    __slots__ = ("_seconds", "_component", "_start")
+
+    def __init__(self, seconds: dict, component: str):
+        self._seconds = seconds
+        self._component = component
+
+    def __enter__(self) -> "_TimedSpan":
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        elapsed = time.perf_counter() - self._start
+        self._seconds[self._component] = self._seconds.get(self._component, 0.0) + elapsed
+        return False
 
 
 def ship_array(backend, array, transport: str):
     """Prepare an array for a rank spec.
 
-    The shared-memory transport pickles specs into spawned processes, so
+    The shared-memory transport pickles specs to its rank processes, so
     backend arrays are converted to contiguous host arrays; the simulated
     transport shares memory with its rank threads, so (possibly
     device-resident) arrays pass through untouched.
@@ -245,6 +258,7 @@ def run_spmd(
     timeout: float = 120.0,
     max_retries: int = 0,
     retry_backoff: float = 0.05,
+    pool: Optional[RankPool] = None,
 ) -> List[Any]:
     """Run ``entry(comm, rank_args[rank])`` on every rank; return outputs in rank order.
 
@@ -256,7 +270,7 @@ def run_spmd(
     rank_args:
         One argument object per rank; its length fixes the communicator size.
     transport:
-        ``"simulated"`` (threads, default) or ``"shared_memory"`` (spawned
+        ``"simulated"`` (threads, default) or ``"shared_memory"`` (rank
         processes).
     max_message_bytes:
         Upper bound on a single collective contribution, sizing the per-rank
@@ -267,7 +281,7 @@ def run_spmd(
         run deadlocked (both transports) — a peer that never posts the
         matching collective surfaces as
         :class:`~repro.parallel.comm.CommAbortedError` instead of a hang.
-        For shared memory the parent additionally polls for results
+        For shared memory the parent additionally waits for results
         indefinitely while rank processes are alive — a long solve is not a
         failure — and raises :class:`RankFailedError` only when a rank
         reports an error or dies without reporting.
@@ -277,18 +291,29 @@ def run_spmd(
         (rank failure, barrier abort, protocol divergence).  Safe because a
         launch is all-or-nothing: per-rank state lives only inside the
         failed launch, so a relaunch replays the identical deterministic
-        program.  Non-communicator errors (a bug in the rank body) propagate
+        program, on fresh rank processes since the failure stopped the
+        pool's.  Non-communicator errors (a bug in the rank body) propagate
         immediately.  The zero-based attempt index is exported as
         ``SPMD_ATTEMPT_ENV`` for fault plans gated on a specific attempt.
     retry_backoff:
         Base of the exponential backoff between attempts:
         ``retry_backoff * 2**attempt`` seconds after attempt ``attempt``.
+    pool:
+        The :class:`RankPool` whose processes run a shared-memory launch;
+        it must have one process per rank.  ``None`` runs the launch on a
+        one-shot pool that is closed before this call returns.  Only the
+        shared-memory transport takes a pool.
     """
 
     require(len(rank_args) > 0, "at least one rank is required")
     require(transport in TRANSPORTS, f"unknown transport '{transport}'; use one of {TRANSPORTS}")
     require(max_retries >= 0, "max_retries must be non-negative")
     require(retry_backoff >= 0, "retry_backoff must be non-negative")
+    require(pool is None or transport == "shared_memory", "only the shared_memory transport takes a pool")
+    capacity = int(max_message_bytes or DEFAULT_MESSAGE_BYTES)
+    launch_pool = pool
+    if transport == "shared_memory" and pool is None:
+        launch_pool = RankPool(len(rank_args))
 
     previous_attempt = os.environ.get(SPMD_ATTEMPT_ENV)
     try:
@@ -298,7 +323,7 @@ def run_spmd(
             try:
                 if transport == "simulated":
                     return _run_threads(entry, rank_args, timeout)
-                return _run_processes(entry, rank_args, max_message_bytes, timeout)
+                return launch_pool.launch(entry, rank_args, capacity, timeout, attempt)
             except CommError:
                 if attempt >= max_retries:
                     raise
@@ -309,6 +334,8 @@ def run_spmd(
             os.environ.pop(SPMD_ATTEMPT_ENV, None)
         else:
             os.environ[SPMD_ATTEMPT_ENV] = previous_attempt
+        if pool is None and launch_pool is not None:
+            launch_pool.close()
 
 
 # --------------------------------------------------------------------- #
@@ -352,10 +379,15 @@ def _run_threads(entry: RankMain, rank_args: Sequence[Any], timeout: float) -> L
 
 
 # --------------------------------------------------------------------- #
-# shared-memory transport: spawned processes
+# shared-memory transport: a pool of spawned rank processes
 # --------------------------------------------------------------------- #
+#: Seconds :meth:`RankPool.close` waits for an idle rank to exit before it
+#: terminates the process.
+_STOP_GRACE_S = 5.0
+
+
 def _comm_error_fields(exc: BaseException) -> dict:
-    """Structured context of a failure, picklable for the result queue."""
+    """Structured context of a failure, picklable for the reply pipe."""
 
     if isinstance(exc, CommError):
         return {
@@ -366,122 +398,211 @@ def _comm_error_fields(exc: BaseException) -> dict:
     return {}
 
 
-def _process_rank_main(entry, rank, size, shm_name, barrier, capacity, timeout, args, queue):
-    """Module-level child body (spawn requires a picklable, importable target)."""
+def _run_launch(rank, size, barrier, message) -> tuple:
+    """Run one launch message on this rank; return its ``(ok, payload)`` reply."""
 
-    comm = SharedMemoryComm(rank, size, shm_name, barrier, capacity, timeout=timeout)
+    entry, shm_name, capacity, timeout, args, attempt = message
+    os.environ[SPMD_ATTEMPT_ENV] = str(attempt)
+    comm = None
     try:
-        payload = entry(comm, args)
-        queue.put((rank, True, payload))
+        comm = SharedMemoryComm(rank, size, shm_name, barrier, capacity, timeout=timeout)
+        return True, entry(comm, args)
     except BaseException as exc:  # noqa: BLE001 - serialized back to the parent
         # Break the shared barrier so peer ranks stop waiting for this rank
         # instead of blocking until the timeout.
         barrier.abort()
-        queue.put(
-            (rank, False, (type(exc).__name__, traceback.format_exc(), _comm_error_fields(exc)))
-        )
+        return False, (type(exc).__name__, traceback.format_exc(), _comm_error_fields(exc))
     finally:
-        comm.close()
+        if comm is not None:
+            comm.close()
 
 
-def _run_processes(
-    entry: RankMain,
-    rank_args: Sequence[Any],
-    max_message_bytes: Optional[int],
-    timeout: float,
-) -> List[Any]:
-    import multiprocessing as mp
-    from multiprocessing import shared_memory
-    from queue import Empty
+def _pool_rank_main(rank, size, barrier, conn):
+    """Module-level rank process body (spawn requires an importable target).
 
-    num_ranks = len(rank_args)
-    capacity = int(max_message_bytes or DEFAULT_MESSAGE_BYTES)
-    require(capacity > 0, "max_message_bytes must be positive")
-    slot_bytes = _HEADER_BYTES + capacity
+    Serves launch messages until the pool closes its end of the pipe.
+    """
 
-    ctx = mp.get_context("spawn")
-    segment = shared_memory.SharedMemory(create=True, size=num_ranks * slot_bytes)
-    barrier = ctx.Barrier(num_ranks)
-    queue = ctx.Queue()
-    processes = [
-        ctx.Process(
-            target=_process_rank_main,
-            args=(entry, rank, num_ranks, segment.name, barrier, capacity, timeout, rank_args[rank], queue),
-            name=f"spmd-rank-{rank}",
-            daemon=True,
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
+        conn.send(_run_launch(rank, size, barrier, message))
+
+
+def _stop_ranks(processes, conns) -> None:
+    """Stop a pool's ranks: idle ones exit on end-of-file, stragglers are terminated."""
+
+    for conn in conns:
+        conn.close()
+    for process in processes:
+        if process.pid is None:  # never started
+            continue
+        process.join(timeout=_STOP_GRACE_S)
+        if process.is_alive():
+            process.terminate()
+            process.join()
+
+
+class RankPool:
+    """``num_ranks`` spawned rank processes that serve many SPMD launches.
+
+    Starting a rank process costs an interpreter start plus the package
+    import, about a second.  A pool pays that once and runs every later
+    launch on the same processes: each rank loops over launch messages
+    ``(entry, segment name, slot capacity, timeout, rank spec, attempt)``,
+    attaches a :class:`~repro.parallel.comm.SharedMemoryComm` to the
+    launch's segment, runs the entry and replies with its output or its
+    failure.  The parent creates and unlinks one segment per launch, since
+    RELAX and ROUND launches size their slots differently.
+
+    The processes are spawned by the first launch, not at construction.
+    They stop on :meth:`close`, when a launch fails (a rank may be stuck
+    mid-collective and the barrier is broken; the next launch spawns fresh
+    processes), and when the pool is garbage-collected.  A pool serves one
+    launch at a time.
+    """
+
+    def __init__(self, num_ranks: int):
+        require(num_ranks > 0, "num_ranks must be positive")
+        self.num_ranks = int(num_ranks)
+        self._processes: list = []
+        self._conns: list = []
+        #: Held while the ranks run: the barrier's semaphores are released
+        #: when the parent's handle is collected.
+        self._barrier = None
+        self._finalizer: Optional[weakref.finalize] = None
+
+    @property
+    def alive(self) -> bool:
+        """Whether rank processes are running (spawned and not yet stopped)."""
+
+        return self._finalizer is not None and self._finalizer.alive
+
+    @property
+    def pids(self) -> tuple:
+        """Process ids of the running ranks in rank order; empty when stopped."""
+
+        return tuple(process.pid for process in self._processes) if self.alive else ()
+
+    def close(self) -> None:
+        """Stop the rank processes; a later launch spawns new ones."""
+
+        if self._finalizer is not None:
+            self._finalizer()
+
+    def _spawn(self) -> None:
+        import multiprocessing as mp
+
+        ctx = mp.get_context("spawn")
+        barrier = ctx.Barrier(self.num_ranks)
+        pipes = [ctx.Pipe() for _ in range(self.num_ranks)]
+        processes = [
+            ctx.Process(
+                target=_pool_rank_main,
+                args=(rank, self.num_ranks, barrier, child),
+                name=f"spmd-rank-{rank}",
+                daemon=True,
+            )
+            for rank, (_, child) in enumerate(pipes)
+        ]
+        conns = [parent for parent, _ in pipes]
+        self._processes, self._conns, self._barrier = processes, conns, barrier
+        self._finalizer = weakref.finalize(self, _stop_ranks, processes, conns)
+        try:
+            for process in processes:
+                process.start()
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            for _, child in pipes:
+                child.close()
+
+    def _abandon(self) -> None:
+        """Terminate the ranks of a failed launch, then stop the pool."""
+
+        for process in self._processes:
+            if process.is_alive():
+                process.terminate()
+        self.close()
+
+    def launch(
+        self, entry: RankMain, rank_args: Sequence[Any], capacity: int, timeout: float, attempt: int = 0
+    ) -> List[Any]:
+        """Run ``entry`` on every rank over a fresh segment; return outputs in rank order."""
+
+        from multiprocessing import shared_memory
+
+        require(
+            len(rank_args) == self.num_ranks,
+            f"a {self.num_ranks}-rank pool got {len(rank_args)} rank arguments",
         )
-        for rank in range(num_ranks)
-    ]
-    outputs: List[Any] = [None] * num_ranks
-    try:
-        for process in processes:
-            process.start()
-        failures: List[tuple] = []
-        received_ranks: set = set()
-        received = 0
-        poll_seconds = min(timeout, 10.0)
-        while received < num_ranks:
-            try:
-                rank, ok, payload = queue.get(timeout=poll_seconds)
-            except Empty:
-                # A slow solve is not a failure — ranks only report once the
-                # whole SPMD body finishes, and genuine deadlocks are bounded
-                # by the children's own barrier timeout.  Only a rank that
-                # *died* without reporting (hard crash, OOM kill) ends the
-                # run from the parent side; give the queue one grace read in
-                # case its result was still in flight.
-                dead = [
-                    r for r, p in enumerate(processes)
-                    if not p.is_alive() and r not in received_ranks
-                ]
-                if not dead:
-                    continue
+        require(capacity > 0, "max_message_bytes must be positive")
+        if not self.alive:
+            self._spawn()
+        segment = shared_memory.SharedMemory(
+            create=True, size=self.num_ranks * (_HEADER_BYTES + capacity)
+        )
+        try:
+            for rank, conn in enumerate(self._conns):
+                message = (entry, segment.name, capacity, timeout, rank_args[rank], attempt)
                 try:
-                    rank, ok, payload = queue.get(timeout=2.0)
-                except Empty:
-                    codes = {r: processes[r].exitcode for r in dead}
-                    raise RankFailedError(
-                        dead[0],
-                        f"rank process exited without reporting a result (exit codes: {codes})",
-                    ) from None
-            received_ranks.add(rank)
-            received += 1
-            if ok:
-                outputs[rank] = payload
-            else:
-                failures.append((rank, *payload))
+                    conn.send(message)
+                except OSError:
+                    raise self._lost(rank) from None
+            return self._collect()
+        except BaseException:
+            self._abandon()
+            raise
+        finally:
+            # Always unlink the /dev/shm segment — leaking it would pin
+            # num_ranks * slot_bytes of shared memory until reboot.
+            segment.close()
+            try:
+                segment.unlink()
+            except FileNotFoundError:  # pragma: no cover - already gone
+                pass
+
+    def _lost(self, rank: int) -> RankFailedError:
+        process = self._processes[rank]
+        process.join(timeout=1.0)
+        return RankFailedError(
+            rank,
+            f"rank process exited without reporting a result (exit code: {process.exitcode})",
+        )
+
+    def _collect(self) -> List[Any]:
+        """Wait for every rank's reply; raise the root cause of any failure.
+
+        A long solve is not a failure: the parent waits while ranks are
+        alive, and deadlocks are bounded by the ranks' own barrier timeout.
+        A rank that dies without replying (hard crash, OOM kill) closes its
+        pipe, which ends the wait at once.
+        """
+
+        from multiprocessing.connection import wait
+
+        outputs: List[Any] = [None] * self.num_ranks
+        failures: List[tuple] = []
+        pending = {conn: rank for rank, conn in enumerate(self._conns)}
+        while pending:
+            for conn in wait(list(pending)):
+                rank = pending.pop(conn)
+                try:
+                    ok, payload = conn.recv()
+                except EOFError:
+                    raise self._lost(rank) from None
+                if ok:
+                    outputs[rank] = payload
+                else:
+                    failures.append((rank, *payload))
         if failures:
-            # Queue arrival order races between children; report the root
-            # cause, not a peer's CommAbortedError echo of it.
+            # Reply order races between ranks; report the root cause, not a
+            # peer's CommAbortedError echo of it.
             primary = next(
                 (f for f in failures if f[1] != CommAbortedError.__name__), failures[0]
             )
-            fields = primary[3] if len(primary) > 3 else {}
-            raise RankFailedError(
-                primary[0], f"\n{primary[2]}", cause_type=primary[1], **fields
-            )
+            raise RankFailedError(primary[0], f"\n{primary[2]}", cause_type=primary[1], **primary[3])
         return outputs
-    finally:
-        # Best-effort teardown: never let cleanup of one process mask the
-        # original error (e.g. an unpicklable spec failing the Nth start()
-        # leaves later processes never-started, whose join() would raise),
-        # and always unlink the /dev/shm segment — leaking it would pin
-        # num_ranks * slot_bytes of shared memory until reboot.
-        for process in processes:
-            try:
-                process.join(timeout=timeout)
-            except (ValueError, AssertionError):  # never started
-                continue
-        for process in processes:
-            try:
-                if process.is_alive():  # pragma: no cover - defensive teardown
-                    process.terminate()
-                    process.join(timeout=5.0)
-            except (ValueError, AssertionError):  # pragma: no cover
-                continue
-        queue.close()
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass

@@ -620,6 +620,9 @@ class SessionManager:
         marker, so a later ``open`` restores and surfaces it.  An in-flight
         eager prefetch is quiesced by the payload capture and checkpointed
         the same way — restored invalidated-and-surfaced, never dropped.
+        The session's strategy then releases what it held across rounds
+        (:meth:`ActiveSession.close`), such as multi-rank selection's rank
+        processes.
         """
 
         slot = self._slot(session_id)
@@ -629,6 +632,10 @@ class SessionManager:
             if checkpoint and path is not None:
                 payload = await self._run(self._protocol(slot.session.checkpoint_payload))
                 await self._schedule_checkpoint_write(payload, path)
+            # On the compute pool: closing joins an in-flight prefetch.
+            # Outside admission control, so a saturated service still
+            # releases the session's rank processes.
+            await self._ensure_loop().run_in_executor(self._executor, slot.session.close)
             info = self._info(session_id, slot)
             del self._slots[session_id]
         return info

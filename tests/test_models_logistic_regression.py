@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models.logistic_regression import LogisticRegressionClassifier
+from repro.models.softmax import softmax_probabilities
 
 
 def make_separable_data(seed=0, n_per_class=30, num_classes=3, dimension=4):
@@ -96,6 +97,51 @@ class TestFitPredict:
         assert clone.l2_regularization == 0.5
 
 
+def with_ones(X):
+    """The intercept-augmented design matrix, built the straightforward way."""
+
+    X = np.asarray(X, dtype=np.float64)
+    return np.concatenate([X, np.ones((X.shape[0], 1))], axis=1)
+
+
+class TestInPlacePrediction:
+    """``predict_proba`` builds the design matrix in one allocation and runs
+    the softmax in place; every value must equal the textbook formula's."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_predict_proba_bit_identical_to_softmax_formula(self, seed, dtype):
+        X, y = make_separable_data(seed=seed, num_classes=4, dimension=5)
+        clf = LogisticRegressionClassifier(num_classes=4).fit(X, y)
+        rng = np.random.default_rng(seed)
+        queries = (rng.standard_normal((257, 5)) * 3.0).astype(dtype)
+        expected = softmax_probabilities(with_ones(queries), clf.weights_)
+        np.testing.assert_array_equal(clf.predict_proba(queries), expected)
+        np.testing.assert_array_equal(clf.decision_function(queries), with_ones(queries) @ clf.weights_)
+
+    def test_predict_proba_without_intercept_bit_identical(self):
+        X, y = make_separable_data(seed=5)
+        clf = LogisticRegressionClassifier(num_classes=3, fit_intercept=False).fit(X, y)
+        np.testing.assert_array_equal(clf.predict_proba(X), softmax_probabilities(X, clf.weights_))
+
+    def test_fit_sees_the_same_design_matrix(self):
+        """Fitting with an intercept equals fitting the explicit ``[X, 1]`` matrix."""
+
+        X, y = make_separable_data(seed=6)
+        implicit = LogisticRegressionClassifier(num_classes=3).fit(X, y)
+        explicit = LogisticRegressionClassifier(num_classes=3, fit_intercept=False).fit(with_ones(X), y)
+        np.testing.assert_array_equal(implicit.weights_, explicit.weights_)
+        assert implicit.n_features_ == X.shape[1]
+
+    def test_integer_features_accepted(self):
+        X, y = make_separable_data(seed=7)
+        clf = LogisticRegressionClassifier(num_classes=3).fit(X, y)
+        queries = np.rint(X).astype(np.int64)
+        np.testing.assert_array_equal(
+            clf.predict_proba(queries), softmax_probabilities(with_ones(queries), clf.weights_)
+        )
+
+
 class TestValidation:
     def test_unfitted_predict_raises(self):
         clf = LogisticRegressionClassifier(num_classes=3)
@@ -111,6 +157,21 @@ class TestValidation:
         clf = LogisticRegressionClassifier(num_classes=3).fit(X, y)
         with pytest.raises(ValueError):
             clf.predict(np.zeros((2, X.shape[1] + 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        X, y = make_separable_data()
+        clf = LogisticRegressionClassifier(num_classes=3).fit(X, y)
+        queries = X[:4].copy()
+        queries[2, 1] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            clf.predict_proba(queries)
+
+    def test_one_dimensional_features_rejected(self):
+        X, y = make_separable_data()
+        clf = LogisticRegressionClassifier(num_classes=3).fit(X, y)
+        with pytest.raises(ValueError, match="2-D"):
+            clf.predict_proba(X[0])
 
     def test_mismatched_rows_rejected(self):
         with pytest.raises(ValueError):
