@@ -26,10 +26,10 @@ one full reassembly every K rounds to cap classifier drift while keeping the
 amortized cost near the pure accumulator's.
 
 ``--store`` swaps the session's pool store: ``dense`` (default),
-``streaming`` (a fraction of the pool is held back and streamed in between
-rounds via ``ActiveSession.extend_pool`` — the pool-replenishment scenario),
-or ``sharded`` (a ``ShardedPointStore`` with 2-rank multi-rank selection
-scattered along shard ownership).
+``sharded`` (a ``ShardedPointStore`` with 2-rank multi-rank selection
+scattered along shard ownership) or ``mmap``.  ``--replenish`` holds a
+fraction of the pool back and streams it in between rounds via
+``ActiveSession.extend_pool`` — the pool-replenishment scenario.
 
 ``--prefilter {none,random,diversity,topk}`` + ``--prefilter-keep`` put a
 candidate prefilter (``SessionConfig.prefilter``) in front of every round's
@@ -40,7 +40,7 @@ Run as a script:
 
     PYTHONPATH=src python benchmarks/bench_active_rounds.py --mode legacy  --label before
     PYTHONPATH=src python benchmarks/bench_active_rounds.py --mode session --label after
-    PYTHONPATH=src python benchmarks/bench_active_rounds.py --store streaming --label streaming
+    PYTHONPATH=src python benchmarks/bench_active_rounds.py --replenish --label streaming
     python benchmarks/compare.py results/BENCH_active_rounds_before.json \
                                  results/BENCH_active_rounds_after.json
 
@@ -66,14 +66,14 @@ from repro.core.firal import ApproxFIRAL
 from repro.datasets.registry import build_problem
 from repro.engine.prefilter import PREFILTER_KINDS, make_prefilter
 from repro.engine.session import ActiveSession, SessionConfig
-from repro.engine.stores import MmapPointStore, ShardedPointStore, StreamingPointStore
+from repro.engine.stores import MmapPointStore, ShardedPointStore
 from repro.fisher.accumulator import LabeledFisherAccumulator
 from repro.fisher.hessian import block_diagonal_of_sum
 from repro.parallel import FaultPlan
 
 from _utils import bench_payload, random_probabilities, write_bench_json
 
-#: Fraction of the pool visible at session start under ``--store streaming``;
+#: Fraction of the pool visible at session start under ``--replenish``;
 #: the remainder is streamed back in between rounds.
 STREAMING_INITIAL_FRACTION = 0.6
 #: Ranks (= store shards) under ``--store sharded``.
@@ -192,6 +192,7 @@ def run(
     mode: str,
     *,
     store: str = "dense",
+    replenish: bool = False,
     seed: int = 0,
     prefilter: str = "none",
     prefilter_keep: float = 0.25,
@@ -205,14 +206,13 @@ def run(
     config.prefilter = make_prefilter(prefilter, prefilter_keep)
     if config.prefilter is not None:
         extra["prefilter"] = {"kind": prefilter, "keep_ratio": prefilter_keep}
-    if store == "streaming":
+    if replenish:
         problem, chunks = _streaming_split(problem, shape["rounds"])
-        config.store = StreamingPointStore.from_problem
         extra["streaming"] = {
             "initial_pool": problem.pool_size,
             "replenished": int(sum(c[0].shape[0] for c in chunks)),
         }
-    elif store == "sharded":
+    if store == "sharded":
         device_map = "auto" if pin_shard_devices else None
         config.store = ShardedPointStore.factory(num_shards=SHARDED_RANKS, device_map=device_map)
         config.parallel_ranks = SHARDED_RANKS
@@ -300,11 +300,16 @@ def main() -> None:
     parser.add_argument("--tiny", action="store_true", help="CI-smoke shape (seconds, not minutes)")
     parser.add_argument(
         "--store",
-        choices=("dense", "streaming", "sharded", "mmap"),
+        choices=("dense", "sharded", "mmap"),
         default="dense",
-        help="pool store backing the session (streaming replenishes between rounds; "
-        "sharded scatters 2-rank selection along shard ownership; mmap keeps the "
-        "feature master on disk)",
+        help="pool store backing the session (sharded scatters 2-rank selection "
+        "along shard ownership; mmap keeps the feature master on disk)",
+    )
+    parser.add_argument(
+        "--replenish",
+        action="store_true",
+        help="hold part of the pool back and stream it in between rounds "
+        "(not with --store sharded, whose shards are fixed)",
     )
     parser.add_argument(
         "--pin-shard-devices",
@@ -334,12 +339,15 @@ def main() -> None:
         "no parallel store is configured)",
     )
     args = parser.parse_args()
+    if args.replenish and args.store == "sharded":
+        parser.error("--replenish needs a growable store; a sharded store's shards are fixed")
 
     shape = TINY_SHAPE if args.tiny else REFERENCE_SHAPE
     payload = run(
         shape,
         args.mode,
         store=args.store,
+        replenish=args.replenish,
         prefilter=args.prefilter,
         prefilter_keep=args.prefilter_keep,
         inject_fault=args.inject_fault,

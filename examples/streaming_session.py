@@ -2,11 +2,9 @@
 
 The paper's protocol selects from one fixed pool, but production feeds are
 streams: new unlabeled points arrive while the labeling loop runs.  The
-session engine expresses this with a :class:`repro.engine.StreamingPointStore`
-— a pool store whose master array grows between rounds:
+session engine's default store, :class:`repro.engine.DensePointStore`, grows
+between rounds:
 
-* ``SessionConfig(store=StreamingPointStore.from_problem)`` makes the
-  session's pool growable;
 * ``session.extend_pool(features, labels)`` appends a replenishment batch at
   a round boundary under fresh stable ids (the labels stay hidden until the
   oracle reveals them);
@@ -29,7 +27,7 @@ import numpy as np
 
 from repro import ApproxFIRAL, RelaxConfig, RoundConfig, build_problem
 from repro.baselines import FIRALStrategy
-from repro.engine import ActiveSession, SessionConfig, StreamingPointStore
+from repro.engine import ActiveSession, SessionConfig
 
 
 def main() -> None:
@@ -49,7 +47,7 @@ def main() -> None:
         strategy,
         budget_per_round=10,
         seed=0,
-        config=SessionConfig(store=StreamingPointStore.from_problem, reuse_eta=True),
+        config=SessionConfig(reuse_eta=True),
     )
     session.record_initial()
 

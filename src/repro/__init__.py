@@ -54,7 +54,6 @@ from repro.engine import (
     QueryProposal,
     SessionConfig,
     ShardedPointStore,
-    StreamingPointStore,
 )
 
 __version__ = "1.0.0"
@@ -102,7 +101,6 @@ __all__ = [
     "DensePointStore",
     "MmapPointStore",
     "ShardedPointStore",
-    "StreamingPointStore",
     "SessionManager",
     "AsyncSessionClient",
     "ServeConfig",

@@ -73,10 +73,9 @@ class SessionInfo:
         ``"shared_memory"`` (real spawned OS processes).
     store_kind:
         Which :class:`~repro.engine.PoolStore` flavor backs the session
-        (``"dense"`` / ``"sharded"`` / ``"streaming"``).  Strategies need no
+        (``"dense"`` / ``"sharded"`` / ``"mmap"``).  Strategies need no
         store-specific code — the store contract is uniform — but stateful
-        ones may use this to anticipate e.g. pool growth under a streaming
-        store.
+        ones may use this to know e.g. that a sharded pool never grows.
     num_store_shards:
         Shard count of a sharded store (``None`` otherwise).  When set
         together with ``parallel_ranks``, each rank's scatter follows the

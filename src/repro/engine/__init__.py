@@ -13,12 +13,11 @@ backend.
 
 Point storage is **pluggable** behind the :class:`PoolStore` protocol
 (stable global ids, mask membership, host/compute views, ``label()``):
-:class:`DensePointStore` is the monolithic in-memory store (bit-identical
-to the historical engine and test-pinned),
+:class:`DensePointStore` is the in-memory store (bit-identical to the
+historical engine and test-pinned, and growable between rounds via
+``extend()`` for pool-replenishment workloads),
 :class:`ShardedPointStore` partitions the pool id range into per-rank
 contiguous shards feeding the distributed solvers' shard-aware scatter, and
-:class:`StreamingPointStore` grows the master between rounds
-(``extend()``) for pool-replenishment workloads, and
 :class:`MmapPointStore` keeps the master on disk (chunked gathers, budgeted
 promotion, streamed scoring) for pools larger than host RAM — none of which
 require strategy or solver changes (``SessionConfig.store`` selects the
@@ -41,7 +40,7 @@ from repro.engine.prefilter import (
     make_prefilter,
 )
 from repro.engine.session import ActiveSession, QueryProposal, SessionConfig
-from repro.engine.stores import MmapPointStore, ShardedPointStore, StreamingPointStore
+from repro.engine.stores import MmapPointStore, ShardedPointStore
 
 #: The curated public surface of the engine layer.
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "DensePointStore",
     "MmapPointStore",
     "ShardedPointStore",
-    "StreamingPointStore",
     "CandidateFilter",
     "RandomSubsampleFilter",
     "DiversityFilter",

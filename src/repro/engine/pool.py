@@ -12,33 +12,36 @@ ids**:
   is copied or reindexed;
 * the labeled set is an id list in acquisition order, so views reproduce the
   legacy concatenation order bit-for-bit;
-* an optional backend-resident promoted copy of the master array serves the
-  Fisher solvers: per-round pool views become device-side gathers, so under
-  the torch backend the pool stays device-resident across rounds.
+* a backend-resident promoted copy of the master array serves the Fisher
+  solvers: per-round pool views become device-side gathers, so under the
+  torch backend the pool stays device-resident across rounds.
 
 :class:`PoolStore` is the protocol the session engine programs against —
-stable ids, mask membership, host/compute views, :meth:`~PoolStore.label` —
-with all of the shared bookkeeping implemented once.  Three implementations
-ship with the engine:
+stable ids, mask membership, host/compute views, :meth:`~PoolStore.label`,
+:meth:`~PoolStore.extend` — with all of the shared bookkeeping implemented
+once.  The compute copy is kept per contiguous id **region**: a fresh store
+has one region, every :meth:`~PoolStore.extend` appends one (so growth
+promotes only the new rows), and a sharded store starts with one region per
+shard.  Three implementations ship with the engine:
 
-* :class:`DensePointStore` (this module) — one monolithic host master
-  array, the pre-refactor behavior bit-for-bit;
+* :class:`DensePointStore` (this module) — one in-memory host master array,
+  the pre-refactor behavior bit-for-bit, growable between rounds (the
+  pool-refresh setting of Pinsler et al.'s batch-construction experiments);
 * :class:`~repro.engine.stores.ShardedPointStore` — the pool id range is
   partitioned into per-rank contiguous shards with per-shard masks and
-  per-shard compute-master copies, feeding the distributed solvers'
-  shard-aware scatter;
-* :class:`~repro.engine.stores.StreamingPointStore` — the master array is
-  growable: :meth:`~repro.engine.stores.StreamingPointStore.extend` appends
-  replenishment points between rounds under fresh ids.
+  per-shard compute regions, feeding the distributed solvers' shard-aware
+  scatter;
+* :class:`~repro.engine.stores.MmapPointStore` — the master lives on disk,
+  for pools larger than host RAM.
 
 Host views are materialized on demand (a gather per round — the classifier
-is a host-side model), but the master array is allocated once per growth
-epoch of the store (exactly once for the dense store).
+is a host-side model); the master array is reallocated only when the pool
+grows.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -59,9 +62,9 @@ def _to_host(a) -> np.ndarray:
 def gather_region_compute(backend, region_bounds: np.ndarray, ids: np.ndarray, region_gather):
     """Gather promoted features for ``ids`` from contiguous per-region masters.
 
-    Shared routing core for stores whose compute master is split into
-    contiguous global-id regions (per-shard masters, streaming growth
-    segments): each id is routed to its owning region via one
+    The routing core of :meth:`PoolStore.compute_features`, whose compute
+    master is split into contiguous global-id regions (growth epochs,
+    per-shard masters): each id is routed to its owning region via one
     ``searchsorted`` over the ascending ``region_bounds`` (length
     ``R + 1``), ``region_gather(region, local_ids)`` produces that region's
     promoted rows **already on the backend's primary device**, and the
@@ -95,19 +98,20 @@ class PoolStore:
 
     This base class implements the full store contract — subclasses
     specialize *where* the points live (one dense block, per-rank shards, a
-    growable master), not *what* the session engine can ask of them.  The
+    file on disk), not *what* the session engine can ask of them.  The
     contract every implementation preserves:
 
     * **Stable global ids** — a point's id never changes once assigned, no
-      matter how the pool shrinks (labeling) or grows (streaming).
+      matter how the pool shrinks (labeling) or grows (:meth:`extend`).
     * **Mask membership** — :attr:`in_pool` is a boolean mask over ids;
       :meth:`label` flips bits and appends to the acquisition-ordered
       labeled id list.
     * **Host views** — ``*_host`` methods gather host ndarrays for the
       host-side classifier, in pool order / acquisition order.
     * **Compute views** — :meth:`compute_features` gathers promoted
-      (compute-dtype, device-resident under torch) features from a cached
-      master copy; promotion is value-exact.
+      (compute-dtype, device-resident under torch) features from cached
+      per-region master copies; promotion is value-exact.
+    * **Growth** — :meth:`extend` appends unlabeled points under fresh ids.
 
     Parameters
     ----------
@@ -162,9 +166,14 @@ class PoolStore:
         self.in_pool[self.num_initial:] = True
         self._labeled_ids = list(range(self.num_initial))
         self._pool_ids_cache: Optional[np.ndarray] = None
-        # Backend-resident promoted master copy (built on demand).
-        self._compute_master: Optional[Array] = None
+        # Global-id boundaries of the compute regions (ascending, length
+        # R + 1) and their promoted masters, built on demand per backend.
+        self._region_bounds = np.asarray([0, self.total_points], dtype=np.int64)
+        self._region_masters: List[Optional[Array]] = [None]
         self._compute_backend = None
+        #: Cumulative count of master rows promoted to compute storage
+        #: (re-promotion after a backend switch counts again).
+        self.promoted_rows = 0
 
     @classmethod
     def from_problem(cls, problem, **kwargs) -> "PoolStore":
@@ -249,27 +258,103 @@ class PoolStore:
     # ------------------------------------------------------------------ #
     # backend-resident compute views
     # ------------------------------------------------------------------ #
+    def _checked_ids(self, ids) -> np.ndarray:
+        """``ids`` as a flat int64 array, refusing ids outside ``0..N-1``."""
+
+        ids = np.asarray(ids, dtype=np.int64).ravel()
+        require(
+            bool(ids.size == 0 or (ids.min() >= 0 and ids.max() < self.total_points)),
+            "id out of range",
+        )
+        return ids
+
+    def _region_backend(self, region: int, backend):
+        """Backend placing ``region``'s master (the primary device here)."""
+
+        return backend
+
+    def _region_master(self, region: int, backend) -> Array:
+        if self._compute_backend is not backend:
+            self._region_masters = [None] * len(self._region_masters)
+            self._compute_backend = backend
+        if self._region_masters[region] is None:
+            lo, hi = int(self._region_bounds[region]), int(self._region_bounds[region + 1])
+            self._region_masters[region] = self._region_backend(region, backend).ascompute(
+                self.features[lo:hi]
+            )
+            self.promoted_rows += hi - lo
+        return self._region_masters[region]
+
     def compute_features(self, ids: np.ndarray) -> Array:
         """Promoted (compute-dtype) features for ``ids``, gathered backend-side.
 
-        The master array is promoted/uploaded **once per growth epoch** (per
-        backend); each call is then a device-side gather instead of a fresh
-        host conversion of the round's pool — float promotion is value-exact,
-        so views carry bit-identical values to promoting the host view.
+        Each region's master is promoted/uploaded **once** (per backend);
+        each call is then a device-side gather instead of a fresh host
+        conversion of the round's pool.  Ids are routed to their owning
+        region, gathered there — device-side when the region is pinned —
+        and only the gathered rows travel to the primary device.  Float
+        promotion is value-exact, so views carry bit-identical values to
+        promoting the host view.
         """
 
         backend = get_backend()
-        if self._compute_master is None or self._compute_backend is not backend:
-            self._compute_master = backend.ascompute(self.features)
-            self._compute_backend = backend
-        return self._compute_master[backend.from_host(np.asarray(ids, dtype=np.int64))]
+        ids = self._checked_ids(ids)
 
-    def _invalidate_compute(self) -> None:
-        """Drop cached derived state after the master array changed shape."""
+        def gather(region: int, local: np.ndarray) -> Array:
+            region_backend = self._region_backend(region, backend)
+            piece = self._region_master(region, backend)[region_backend.from_host(local)]
+            return backend.to_device(piece, backend.device)
 
+        out = gather_region_compute(backend, self._region_bounds, ids, gather)
+        if out is None:
+            return backend.ascompute(self.features[:0])
+        return out
+
+    # ------------------------------------------------------------------ #
+    # growth
+    # ------------------------------------------------------------------ #
+    def _check_extension(self, features, labels):
+        """Validate an :meth:`extend` batch; return it as host arrays."""
+
+        new_f = _to_host(features)
+        new_y = np.asarray(_to_host(labels), dtype=np.int64).ravel()
+        require(new_f.ndim == 2, "features must be 2-D")
+        require(new_f.shape[0] > 0, "extend requires at least one point")
+        require(int(new_f.shape[1]) == self.dimension, "feature dimensions must match")
+        require(int(new_f.shape[0]) == int(new_y.shape[0]), "features and labels must align")
+        return new_f, new_y
+
+    def extend(self, features, labels) -> np.ndarray:
+        """Append new unlabeled points to the pool; return their global ids.
+
+        Ids assigned before an extend never change, so selections, labeled
+        history and per-id strategy state stay valid across replenishment.
+        ``labels`` join the hidden oracle side of the store — they are only
+        revealed when :meth:`label` selects the points.  The new rows form
+        one new compute region, so already-promoted regions stay valid and
+        only the appended rows are promoted on the next compute view.
+        """
+
+        new_f, new_y = self._check_extension(features, labels)
+        self.features = np.concatenate([self.features, new_f], axis=0)
+        return self._append_region(new_y)
+
+    def _append_region(self, new_labels: np.ndarray) -> np.ndarray:
+        """Bookkeeping for rows just appended to :attr:`features`.
+
+        The rows join the pool as one new compute region; returns their ids.
+        """
+
+        old_total = self.total_points
+        self.labels = np.concatenate([self.labels, new_labels], axis=0)
+        self.total_points = int(self.features.shape[0])
+        self.in_pool = np.concatenate(
+            [self.in_pool, np.ones(self.total_points - old_total, dtype=bool)]
+        )
         self._pool_ids_cache = None
-        self._compute_master = None
-        self._compute_backend = None
+        self._region_bounds = np.append(self._region_bounds, self.total_points)
+        self._region_masters.append(None)
+        return np.arange(old_total, self.total_points, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # labeling
@@ -325,7 +410,7 @@ class PoolStore:
         begins); all other ids return to the pool.  Used by
         ``ActiveSession.resume`` — membership is pure bookkeeping over the
         master arrays, so restoring it is exact regardless of store flavor
-        (sharded masks are views into :attr:`in_pool`, streaming growth is
+        (sharded masks are views into :attr:`in_pool`, pool growth is
         replayed before this call).
         """
 
@@ -352,12 +437,13 @@ class PoolStore:
 
 
 class DensePointStore(PoolStore):
-    """The monolithic in-memory store: one dense host master array.
+    """The in-memory store: one dense host master array.
 
     This is the pre-refactor single-array store behavior bit-for-bit (the
     legacy-equivalence suite pins it against the frozen pre-session driver
-    for every strategy); the base class implements everything, this subclass
-    only fixes the ``kind`` tag.
+    for every strategy), and it grows between rounds via :meth:`extend`;
+    the base class implements everything, this subclass only fixes the
+    ``kind`` tag.
     """
 
     kind = "dense"

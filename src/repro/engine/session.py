@@ -8,13 +8,13 @@ of the legacy driver removed:
   stable global ids and mask-based pool membership — no per-round
   ``concatenate`` / boolean-copy churn, and under the torch backend the
   promoted pool stays device-resident across rounds.  The default
-  :class:`~repro.engine.pool.DensePointStore` is the historical behavior;
+  :class:`~repro.engine.pool.DensePointStore` is the historical behavior
+  and can be replenished between rounds via :meth:`ActiveSession.extend_pool`;
   ``SessionConfig.store`` swaps in a
   :class:`~repro.engine.stores.ShardedPointStore` (per-rank id shards
   feeding the multi-rank scatter) or a
-  :class:`~repro.engine.stores.StreamingPointStore` (pool replenished
-  between rounds via :meth:`ActiveSession.extend_pool`) without touching
-  strategies or solvers;
+  :class:`~repro.engine.stores.MmapPointStore` (master on disk) without
+  touching strategies or solvers;
 * the labeled-Fisher block diagonal ``B(H_o)`` can be maintained
   *incrementally* (newly labeled points add their rank-one class
   contributions instead of the full sum being recomputed every
@@ -223,13 +223,13 @@ class SessionConfig:
         Which :class:`~repro.engine.PoolStore` implementation holds the
         session's points.  ``None`` (default) builds a
         :class:`~repro.engine.DensePointStore` — the historical, test-pinned
-        behavior.  Otherwise a factory ``problem -> PoolStore`` (e.g.
+        behavior, growable via :meth:`ActiveSession.extend_pool`.  Otherwise
+        a factory ``problem -> PoolStore`` (e.g.
         ``ShardedPointStore.factory(num_shards=4)`` or
-        ``StreamingPointStore.from_problem``) or an already-built store
-        instance matching the problem.  Strategies and solvers are
-        store-agnostic; a sharded store additionally routes the
-        ``parallel_ranks`` scatter along its shard ownership, and a
-        streaming store enables :meth:`ActiveSession.extend_pool`.
+        ``MmapPointStore.from_problem``) or an already-built store instance
+        matching the problem.  Strategies and solvers are store-agnostic; a
+        sharded store additionally routes the ``parallel_ranks`` scatter
+        along its shard ownership (and therefore cannot grow).
     prefilter:
         Optional :class:`~repro.engine.prefilter.CandidateFilter` evaluated
         once per round *before* the strategy: the pool view is restricted to
@@ -618,13 +618,15 @@ class ActiveSession:
         return record
 
     def extend_pool(self, features, labels) -> np.ndarray:
-        """Replenish the pool between rounds (streaming stores only).
+        """Replenish the pool between rounds (any store but a sharded one).
 
         Appends new unlabeled points to the session's store under fresh
         stable ids — the pool-refresh round boundary of streaming active
-        learning.  Existing ids never move, so the labeled history, the
-        recorded curve and any per-id strategy state stay valid.  Returns the
-        new points' global ids.
+        learning.  The store decides whether it can grow: a sharded store
+        raises ``ValueError``, its shard ownership being fixed.  Existing
+        ids never move, so the labeled history, the recorded curve and any
+        per-id strategy state stay valid.  Returns the new points' global
+        ids.
 
         An in-flight eager prefetch is **cancelled first** (joined and
         rolled back to the round boundary): the precomputed proposal never
@@ -637,11 +639,6 @@ class ActiveSession:
             self._pending is None,
             "cannot extend the pool while a proposal is pending — "
             "observe() or invalidate_proposal() first",
-        )
-        require(
-            hasattr(self.store, "extend"),
-            f"the session's '{self.store.kind}' store cannot grow; "
-            "configure SessionConfig(store=StreamingPointStore.from_problem)",
         )
         return self.store.extend(features, labels)
 
@@ -1301,8 +1298,11 @@ class ActiveSession:
                 "a mode this session no longer supports",
             )
         store_section = payload["store"]
+        # Grown dense pools used to have their own store kind, "streaming";
+        # their checkpoints replay onto the dense store unchanged.
+        saved_kind = "dense" if store_section["kind"] == "streaming" else store_section["kind"]
         require(
-            session.store.kind == store_section["kind"],
+            session.store.kind == saved_kind,
             f"checkpoint was written with a '{store_section['kind']}' store, "
             f"but this session has a '{session.store.kind}' store",
         )

@@ -1,14 +1,14 @@
-"""Sharded, streaming and out-of-core pool stores.
+"""Sharded and out-of-core pool stores.
 
-Three :class:`~repro.engine.pool.PoolStore` implementations for the scenario
+Two :class:`~repro.engine.pool.PoolStore` implementations for the scenario
 classes the dense store cannot express:
 
 * :class:`ShardedPointStore` — the pool's global id range is partitioned
   into ``num_shards`` **contiguous per-rank shards** (the § III-C layout:
   "evenly distribut[e] h_i and x_i of n points in X_u across p GPUs").  Pool
   membership is tracked per shard (each shard's mask is a view into the
-  global mask), compute-dtype master copies are kept **per shard** instead
-  of as one monolithic device allocation, and
+  global mask), compute-dtype master copies are kept **per shard** (one
+  compute region each) instead of as one monolithic device allocation, and
   :meth:`ShardedPointStore.pool_shard_offsets` exposes the current
   pool-view partition so a ``SessionConfig.parallel_ranks`` session scatters
   each rank its own shard (see ``partition_pool(offsets=...)``) instead of
@@ -17,14 +17,6 @@ classes the dense store cannot express:
   device** (``device_map="auto"`` round-robins over the local accelerators;
   an explicit per-shard device list is also accepted), so gathers and
   reorders run device-side and only selected rows are shipped to the host.
-* :class:`StreamingPointStore` — the master array is **growable**:
-  :meth:`StreamingPointStore.extend` appends replenishment points between
-  rounds (the pool-refresh setting of Pinsler et al.'s batch-construction
-  experiments).  New points get fresh ids past the current range; existing
-  ids never move, so cross-round strategy state keyed by id stays valid.
-  Promotion is **incremental**: each growth epoch becomes a new compute
-  segment, so an extend promotes only the appended rows instead of
-  re-copying the whole pool to the backend.
 * :class:`MmapPointStore` — the master lives **on disk** as an
   ``np.memmap``: host views gather chunk-wise, compute promotion is chunked
   and bounded by an explicit ``promotion_budget_bytes``, and
@@ -32,9 +24,10 @@ classes the dense store cannot express:
   ``fused_round_scores`` one block at a time so peak resident memory is
   O(chunk) instead of O(pool).  The file is self-describing (``.npy``
   format plus label/meta sidecars), so :meth:`MmapPointStore.from_file`
-  reopens it after a process restart.
+  reopens it after a process restart.  It grows like the dense store, by an
+  atomic spill of the master file.
 
-All preserve the full base-class contract, so strategies and solvers run
+Both preserve the full base-class contract, so strategies and solvers run
 unchanged on top of them; on a fixed pool (no extends) every store selects
 identically to :class:`~repro.engine.pool.DensePointStore` (test-pinned).
 """
@@ -45,12 +38,12 @@ import json
 import os
 import tempfile
 import weakref
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.backend import Array, COMPUTE_DTYPE, get_backend, round_robin_device_map
-from repro.engine.pool import PoolStore, _to_host, gather_region_compute
+from repro.engine.pool import PoolStore, _to_host
 from repro.parallel.partition import block_partition
 from repro.utils.validation import require
 
@@ -58,7 +51,6 @@ __all__ = [
     "DEFAULT_PROMOTION_BUDGET_BYTES",
     "MmapPointStore",
     "ShardedPointStore",
-    "StreamingPointStore",
 ]
 
 #: Default cap on how many bytes :meth:`MmapPointStore.compute_features` may
@@ -76,7 +68,8 @@ class ShardedPointStore(PoolStore):
     balanced ranges (via :func:`repro.parallel.partition.block_partition`,
     the same rule the distributed solvers use).  Shard ownership is an *id*
     property: it never changes as points are labeled, so a rank sees a
-    consistent subset of ids across every round of a session.
+    consistent subset of ids across every round of a session — which is
+    also why a sharded store cannot :meth:`extend`.
 
     Parameters
     ----------
@@ -128,14 +121,13 @@ class ShardedPointStore(PoolStore):
         self._device_map_spec = device_map
         self._resolved_devices: Optional[tuple] = None
         self._devices_backend = None
-        # Global-id boundaries of the compute regions: the initial labeled
-        # block, then one contiguous pool range per shard.
+        # Compute regions: the initial labeled block, then one contiguous
+        # pool range per shard.
         bounds = [0, self.num_initial]
         for sl in block_partition(pool_total, self.num_shards):
             bounds.append(self.num_initial + sl.stop)
         self._region_bounds = np.asarray(bounds, dtype=np.int64)
-        # Per-region promoted masters (built on demand, per backend).
-        self._region_masters: List[Optional[Array]] = [None] * (len(bounds) - 1)
+        self._region_masters = [None] * (len(bounds) - 1)
 
     # ------------------------------------------------------------------ #
     # shard views
@@ -212,155 +204,10 @@ class ShardedPointStore(PoolStore):
             return backend
         return backend.for_device(devices[region - 1])
 
-    # ------------------------------------------------------------------ #
-    # compute views: per-shard masters
-    # ------------------------------------------------------------------ #
-    def _region_master(self, region: int, backend) -> Array:
-        if self._region_masters[region] is None or self._compute_backend is not backend:
-            if self._compute_backend is not backend:
-                self._region_masters = [None] * len(self._region_masters)
-                self._compute_backend = backend
-            lo, hi = int(self._region_bounds[region]), int(self._region_bounds[region + 1])
-            self._region_masters[region] = self._region_backend(region, backend).ascompute(
-                self.features[lo:hi]
-            )
-        return self._region_masters[region]
-
-    def shard_compute_features(self, shard: int) -> Array:
-        """Promoted features of ``shard``'s current pool, from its own master.
-
-        With a ``device_map`` the result lives on the shard's pinned device —
-        the per-rank compute view the distributed solvers consume.
-        """
-
-        backend = get_backend()
-        lo, _ = self.shard_id_range(shard)
-        local = self.shard_pool_ids(shard) - lo
-        region_backend = self._region_backend(shard + 1, backend)
-        return self._region_master(shard + 1, backend)[region_backend.from_host(local)]
-
-    def compute_features(self, ids: np.ndarray) -> Array:
-        """Promoted features for ``ids``, gathered from the per-shard masters.
-
-        No monolithic device copy of the whole master is ever made: each id
-        is routed to its owning region (the initial block or one shard), the
-        regions gather locally — device-side when the shard is pinned — and
-        only the gathered rows travel to the primary device for
-        concatenation.  Value-exact relative to a single-master gather.
-        """
-
-        backend = get_backend()
-        ids = np.asarray(ids, dtype=np.int64).ravel()
-        require(
-            bool(ids.size == 0 or (ids.min() >= 0 and ids.max() < self.total_points)),
-            "id out of range",
-        )
-
-        def gather(region: int, local: np.ndarray) -> Array:
-            region_backend = self._region_backend(region, backend)
-            piece = self._region_master(region, backend)[region_backend.from_host(local)]
-            return backend.to_device(piece, backend.device)
-
-        out = gather_region_compute(backend, self._region_bounds, ids, gather)
-        if out is None:
-            return backend.ascompute(self.features[:0])
-        return out
-
-    def _invalidate_compute(self) -> None:
-        super()._invalidate_compute()
-        self._region_masters = [None] * len(self._region_masters)
-
-
-class StreamingPointStore(PoolStore):
-    """Pool store whose master array grows between rounds.
-
-    :meth:`extend` appends replenishment points under fresh global ids.  Ids
-    assigned before an extend never change, so selections, labeled history
-    and any per-id strategy state remain valid across replenishment.
-
-    Promotion is **segmented**: every growth epoch (the initial pool, then
-    each extend) is its own compute segment, promoted lazily and exactly
-    once per backend.  An extend therefore promotes only the appended rows —
-    the :attr:`promoted_rows` counter (total rows promoted so far) lets the
-    regression suite pin that growth no longer re-copies the whole pool.
-    """
-
-    kind = "streaming"
-
-    def __init__(self, initial_features, initial_labels, pool_features, pool_labels):
-        super().__init__(initial_features, initial_labels, pool_features, pool_labels)
-        self._segment_bounds: List[int] = [0, self.total_points]
-        self._segment_masters: List[Optional[Array]] = [None]
-        #: Cumulative count of master rows promoted to compute storage
-        #: (re-promotion after a backend switch counts again).
-        self.promoted_rows = 0
-
-    # ------------------------------------------------------------------ #
-    # compute views: per-epoch segments
-    # ------------------------------------------------------------------ #
-    def _segment_master(self, segment: int, backend) -> Array:
-        if self._compute_backend is not backend:
-            self._segment_masters = [None] * len(self._segment_masters)
-            self._compute_backend = backend
-        if self._segment_masters[segment] is None:
-            lo = self._segment_bounds[segment]
-            hi = self._segment_bounds[segment + 1]
-            self._segment_masters[segment] = backend.ascompute(self.features[lo:hi])
-            self.promoted_rows += hi - lo
-        return self._segment_masters[segment]
-
-    def compute_features(self, ids: np.ndarray) -> Array:
-        backend = get_backend()
-        ids = np.asarray(ids, dtype=np.int64).ravel()
-        require(
-            bool(ids.size == 0 or (ids.min() >= 0 and ids.max() < self.total_points)),
-            "id out of range",
-        )
-        bounds = np.asarray(self._segment_bounds, dtype=np.int64)
-        out = gather_region_compute(
-            backend,
-            bounds,
-            ids,
-            lambda seg, local: self._segment_master(seg, backend)[backend.from_host(local)],
-        )
-        if out is None:
-            return backend.ascompute(self.features[:0])
-        return out
-
-    def _invalidate_compute(self) -> None:
-        super()._invalidate_compute()
-        self._segment_masters = [None] * len(self._segment_masters)
-
-    # ------------------------------------------------------------------ #
-    # growth
-    # ------------------------------------------------------------------ #
     def extend(self, features, labels) -> np.ndarray:
-        """Append new unlabeled points to the pool; return their global ids.
-
-        ``labels`` join the hidden oracle side of the store — they are only
-        revealed when :meth:`~repro.engine.pool.PoolStore.label` selects the
-        points.  Already-promoted segments stay valid (their rows are
-        unchanged); only the new epoch is promoted on the next compute view.
-        """
-
-        new_f = _to_host(features)
-        new_y = np.asarray(_to_host(labels), dtype=np.int64).ravel()
-        require(new_f.ndim == 2, "features must be 2-D")
-        require(new_f.shape[0] > 0, "extend requires at least one point")
-        require(int(new_f.shape[1]) == self.dimension, "feature dimensions must match")
-        require(int(new_f.shape[0]) == int(new_y.shape[0]), "features and labels must align")
-
-        old_total = self.total_points
-        self.features = np.concatenate([self.features, new_f], axis=0)
-        self.labels = np.concatenate([self.labels, new_y], axis=0)
-        self.total_points = int(self.features.shape[0])
-        self.in_pool = np.concatenate(
-            [self.in_pool, np.ones(int(new_f.shape[0]), dtype=bool)]
+        raise ValueError(
+            f"a '{self.kind}' store cannot grow: shard ownership is fixed at construction"
         )
-        self._pool_ids_cache = None
-        self._segment_bounds.append(self.total_points)
-        self._segment_masters.append(None)
-        return np.arange(old_total, self.total_points, dtype=np.int64)
 
 
 def _unlink_quiet(paths) -> None:
@@ -702,7 +549,7 @@ class MmapPointStore(PoolStore):
         """
 
         backend = get_backend()
-        ids_arr = np.asarray(ids, dtype=np.int64).ravel()
+        ids_arr = self._checked_ids(ids)
         self._check_promotion_budget(int(ids_arr.size), "compute_features")
         host = np.empty((int(ids_arr.size), self.dimension), dtype=COMPUTE_DTYPE)
         for lo in range(0, int(ids_arr.size), self._chunk_rows):
@@ -821,13 +668,7 @@ class MmapPointStore(PoolStore):
         Returns the appended points' global ids.
         """
 
-        new_f = _to_host(features)
-        new_y = np.asarray(_to_host(labels), dtype=np.int64).ravel()
-        require(new_f.ndim == 2, "features must be 2-D")
-        require(new_f.shape[0] > 0, "extend requires at least one point")
-        require(int(new_f.shape[1]) == self.dimension, "feature dimensions must match")
-        require(int(new_f.shape[0]) == int(new_y.shape[0]), "features and labels must align")
-
+        new_f, new_y = self._check_extension(features, labels)
         old_total = self.total_points
         added = int(new_f.shape[0])
         tmp = self._path + ".grow.tmp"
@@ -844,18 +685,9 @@ class MmapPointStore(PoolStore):
         del grown
         os.replace(tmp, self._path)
         self.features = np.load(self._path, mmap_mode="r+")
-        self.labels = np.concatenate([self.labels, new_y], axis=0)
-        self.total_points = old_total + added
-        self.in_pool = np.concatenate([self.in_pool, np.ones(added, dtype=bool)])
-        self._invalidate_compute()
-        self._write_sidecars()
-        return np.arange(old_total, self.total_points, dtype=np.int64)
-
-    def _invalidate_compute(self) -> None:
-        super()._invalidate_compute()
+        new_ids = self._append_region(new_y)
         self._mapped_compute = None
         if self.features.dtype != np.dtype(COMPUTE_DTYPE):
-            try:
-                os.unlink(self._mapped_path())
-            except OSError:
-                pass
+            _unlink_quiet([self._mapped_path()])
+        self._write_sidecars()
+        return new_ids

@@ -21,7 +21,6 @@ from repro.baselines import FIRALStrategy
 from repro.core.config import RelaxConfig, RoundConfig
 from repro.core.firal import ApproxFIRAL
 from repro.engine.session import ActiveSession, SessionConfig
-from repro.engine.stores import StreamingPointStore
 from repro.parallel import FaultPlan
 from repro.parallel.comm import CommError
 from tests.test_engine_session import (
@@ -85,7 +84,7 @@ class TestCheckpointResume:
         extra = np.random.default_rng(9)
         new_f = extra.standard_normal((6, problem.dimension))
         new_y = extra.integers(0, problem.num_classes, size=6)
-        make_config = lambda: SessionConfig(store=StreamingPointStore.from_problem)  # noqa: E731
+        make_config = lambda: SessionConfig()  # noqa: E731
         factory = STRATEGY_FACTORIES["entropy"]
 
         full = ActiveSession(
@@ -106,6 +105,42 @@ class TestCheckpointResume:
         resumed.run(2, record_initial=False)
         _assert_curves_identical(full.result, resumed.result)
         np.testing.assert_array_equal(full.store.labeled_ids, resumed.store.labeled_ids)
+
+    def test_streaming_kind_checkpoint_resumes_on_dense_store(self, tmp_path):
+        """Grown pools were once checkpointed under a separate "streaming"
+        store kind; such files resume on the dense store, bit-identically."""
+
+        problem = _small_problem(seed=3)
+        extra = np.random.default_rng(9)
+        new_f = extra.standard_normal((6, problem.dimension))
+        new_y = extra.integers(0, problem.num_classes, size=6)
+        factory = STRATEGY_FACTORIES["entropy"]
+
+        full = ActiveSession(problem, factory(), budget_per_round=4, num_rounds=4, seed=7)
+        full.run(2)
+        full.extend_pool(new_f, new_y)
+        full.run(2, record_initial=False)
+
+        first = ActiveSession(problem, factory(), budget_per_round=4, num_rounds=4, seed=7)
+        first.run(2)
+        first.extend_pool(new_f, new_y)
+        ckpt = first.checkpoint(tmp_path / "session.json")
+        payload = json.loads(ckpt.read_text())
+        assert payload["store"]["kind"] == "dense"
+        payload["store"]["kind"] = "streaming"
+        ckpt.write_text(json.dumps(payload))
+        resumed = ActiveSession.resume(ckpt, problem, factory())
+        assert resumed.store.total_points == full.store.total_points
+        resumed.run(2, record_initial=False)
+        _assert_curves_identical(full.result, resumed.result)
+        np.testing.assert_array_equal(full.store.labeled_ids, resumed.store.labeled_ids)
+
+        # Any other kind mismatch is still refused.
+        for kind in ("sharded", "mmap"):
+            payload["store"]["kind"] = kind
+            ckpt.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match=f"'{kind}' store"):
+                ActiveSession.resume(ckpt, problem, factory())
 
     def test_run_writes_checkpoints_on_cadence(self, problem, tmp_path):
         path = tmp_path / "auto.json"

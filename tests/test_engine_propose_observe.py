@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from repro.engine import ActiveSession, QueryProposal, SessionConfig
-from repro.engine.stores import ShardedPointStore, StreamingPointStore
+from repro.engine.stores import ShardedPointStore
 
 from test_engine_session import (
     STRATEGY_FACTORIES,
@@ -187,7 +187,6 @@ class TestProtocolErrors:
             STRATEGY_FACTORIES["random"](),
             budget_per_round=4,
             seed=7,
-            config=SessionConfig(store=StreamingPointStore.from_problem),
         )
         session.propose()
         rng = np.random.default_rng(3)
@@ -311,7 +310,7 @@ class TestMidProposalCheckpoint:
         proposal is already invalidated, so growing the pool *before*
         re-proposing is legal — and the replay then legitimately differs."""
 
-        make_config = lambda: SessionConfig(store=StreamingPointStore.from_problem)  # noqa: E731
+        make_config = lambda: SessionConfig()  # noqa: E731
         session = ActiveSession(
             problem,
             STRATEGY_FACTORIES["random"](),

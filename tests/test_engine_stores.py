@@ -1,4 +1,4 @@
-"""Pluggable pool stores: protocol, sharded scatter, streaming replenishment.
+"""Pluggable pool stores: protocol, sharded scatter, pool replenishment.
 
 The contract of the store refactor:
 
@@ -8,9 +8,10 @@ The contract of the store refactor:
 * a ``ShardedPointStore`` session with ``parallel_ranks`` selects
   identically to the dense serial run — the scatter follows shard ownership
   but the algorithm is partition-invariant;
-* a ``StreamingPointStore`` session runs end-to-end with between-round
+* a default (dense) session runs end-to-end with between-round
   replenishment: ids stay stable across ``extend()``, replenished points
-  are selectable;
+  are selectable, and only the appended rows are promoted; a sharded
+  store refuses to grow;
 * the in-rank η grid search (``distributed_round_search``) matches the
   serial ``select_eta`` winner inside a single SPMD launch.
 """
@@ -30,7 +31,7 @@ from repro.core.approx_relax import approx_relax
 from repro.core.firal import ApproxFIRAL
 from repro.engine import ActiveSession, SessionConfig
 from repro.engine.pool import DensePointStore, PoolStore
-from repro.engine.stores import ShardedPointStore, StreamingPointStore
+from repro.engine.stores import MmapPointStore, ShardedPointStore
 from repro.fisher.hessian import block_diagonal_of_sum
 from repro.models.softmax import reduced_probabilities
 from repro.parallel.distributed_round import distributed_round_search
@@ -80,7 +81,6 @@ class TestPoolStoreProtocol:
         assert issubclass(DensePointStore, PoolStore)
         assert DensePointStore.kind == "dense"
         assert ShardedPointStore.kind == "sharded"
-        assert StreamingPointStore.kind == "streaming"
 
     def test_factory_binds_kwargs(self, problem):
         build = ShardedPointStore.factory(num_shards=3)
@@ -96,9 +96,9 @@ class TestPoolStoreProtocol:
             budget_per_round=4,
             num_rounds=1,
             seed=0,
-            config=SessionConfig(store=StreamingPointStore.from_problem),
+            config=SessionConfig(store=MmapPointStore.from_problem),
         )
-        assert isinstance(by_factory.store, StreamingPointStore)
+        assert isinstance(by_factory.store, MmapPointStore)
         instance = DensePointStore.from_problem(problem)
         by_instance = ActiveSession(
             problem,
@@ -138,6 +138,22 @@ class TestPoolStoreProtocol:
         np.testing.assert_array_equal(
             dense_session.store.labeled_ids, default_session.store.labeled_ids
         )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            DensePointStore.from_problem,
+            ShardedPointStore.factory(num_shards=2),
+            MmapPointStore.from_problem,
+        ],
+        ids=["dense", "sharded", "mmap"],
+    )
+    def test_compute_features_rejects_out_of_range_ids(self, problem, build):
+        # -1 must not wrap around to the last row, N must not IndexError.
+        store = build(problem)
+        for bad in (-1, store.total_points):
+            with pytest.raises(ValueError, match="id out of range"):
+                store.compute_features(np.array([0, bad]))
 
 
 # --------------------------------------------------------------------- #
@@ -181,16 +197,6 @@ class TestShardedPointStore:
         for ids in (store.pool_ids, store.labeled_ids, np.array([12, 0, 7, 4])):
             view = backend.to_numpy(store.compute_features(ids))
             np.testing.assert_array_equal(view, store.features[ids].astype(np.float64))
-
-    def test_shard_compute_features_matches_host(self):
-        store = self._store(num_shards=2)
-        store.label(np.array([2]))
-        backend = get_backend()
-        for shard in range(2):
-            view = backend.to_numpy(store.shard_compute_features(shard))
-            np.testing.assert_array_equal(
-                view, store.features[store.shard_pool_ids(shard)].astype(np.float64)
-            )
 
     def test_too_many_shards_rejected(self):
         with pytest.raises(ValueError):
@@ -294,11 +300,11 @@ class TestShardedPointStore:
 
 
 # --------------------------------------------------------------------- #
-# streaming store
+# pool growth
 # --------------------------------------------------------------------- #
 class _TailStrategy(SelectionStrategy):
-    """Deterministically selects the *last* rows of the pool view — under a
-    streaming store these are the most recently replenished points."""
+    """Deterministically selects the *last* rows of the pool view — on a
+    replenished pool these are the most recently appended points."""
 
     name = "tail"
 
@@ -307,18 +313,19 @@ class _TailStrategy(SelectionStrategy):
         return self._validate_selection(np.arange(n - context.budget, n), context)
 
 
-class TestStreamingPointStore:
-    def _store(self):
-        rng = np.random.default_rng(3)
-        return StreamingPointStore(
-            rng.standard_normal((2, 5)),
-            np.array([0, 1]),
-            rng.standard_normal((6, 5)),
-            np.array([0, 1, 0, 1, 0, 1]),
-        )
+def _growable_store(store_cls=DensePointStore):
+    rng = np.random.default_rng(3)
+    return store_cls(
+        rng.standard_normal((2, 5)),
+        np.array([0, 1]),
+        rng.standard_normal((6, 5)),
+        np.array([0, 1, 0, 1, 0, 1]),
+    )
 
+
+class TestPoolGrowth:
     def test_extend_assigns_fresh_ids_and_keeps_old_ones(self):
-        store = self._store()
+        store = _growable_store()
         store.label(np.array([1]))  # id 3 leaves the pool
         labeled_before = store.labeled_ids.copy()
         pool_before = store.pool_ids.copy()
@@ -333,7 +340,7 @@ class TestStreamingPointStore:
         np.testing.assert_array_equal(store.features[new_ids], new_f)
 
     def test_compute_master_invalidated_on_extend(self):
-        store = self._store()
+        store = _growable_store()
         backend = get_backend()
         before = backend.to_numpy(store.compute_features(store.pool_ids))
         np.testing.assert_array_equal(before, store.pool_features_host().astype(np.float64))
@@ -342,8 +349,9 @@ class TestStreamingPointStore:
         np.testing.assert_array_equal(after, store.pool_features_host().astype(np.float64))
         assert after.shape[0] == before.shape[0] + 2
 
-    def test_extend_validates_inputs(self):
-        store = self._store()
+    @pytest.mark.parametrize("store_cls", [DensePointStore, MmapPointStore])
+    def test_extend_validates_inputs(self, store_cls):
+        store = _growable_store(store_cls)
         with pytest.raises(ValueError):
             store.extend(np.ones((0, 5)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
@@ -351,26 +359,42 @@ class TestStreamingPointStore:
         with pytest.raises(ValueError):
             store.extend(np.ones((2, 5)), np.array([0]))
 
-    def test_extend_pool_requires_streaming_store(self, problem):
-        session = ActiveSession(problem, RandomStrategy(), budget_per_round=4, seed=0)
+    def test_sharded_store_refuses_extend_pool(self, problem):
+        session = ActiveSession(
+            problem,
+            RandomStrategy(),
+            budget_per_round=4,
+            seed=0,
+            config=SessionConfig(store=ShardedPointStore.factory(num_shards=2)),
+        )
         with pytest.raises(ValueError, match="cannot grow"):
             session.extend_pool(np.ones((2, problem.dimension)), np.array([0, 1]))
+        assert session.store.total_points == problem.initial_size + problem.pool_size
 
-    def test_streaming_without_extend_matches_dense(self, problem):
-        """On a fixed pool the streaming store is just a dense store."""
+    def test_grown_resident_pool_matches_host_views(self, problem):
+        """After growth, the resident compute path selects like host views."""
 
-        for factory in (RandomStrategy, _approx_firal_strategy):
-            dense_session, dense_curve = _run(problem, factory(), num_rounds=2)
-            streaming_session, streaming_curve = _run(
-                problem,
-                factory(),
-                config=SessionConfig(store=StreamingPointStore.from_problem),
-                num_rounds=2,
+        def grown_run(config):
+            session = ActiveSession(
+                problem, _approx_firal_strategy(), budget_per_round=4, seed=0, config=config
             )
-            assert streaming_curve == dense_curve
-            np.testing.assert_array_equal(
-                streaming_session.store.labeled_ids, dense_session.store.labeled_ids
-            )
+            rng = np.random.default_rng(17)
+            for _ in range(2):
+                session.step()
+                session.extend_pool(
+                    rng.standard_normal((5, problem.dimension)),
+                    rng.integers(0, problem.num_classes, 5),
+                )
+            session.step()
+            return session
+
+        host = grown_run(SessionConfig())
+        resident = grown_run(SessionConfig(resident_pool=True))
+        assert resident.store.promoted_rows == resident.store.total_points
+        np.testing.assert_array_equal(resident.store.labeled_ids, host.store.labeled_ids)
+        assert [r.eval_accuracy for r in resident.result.records] == [
+            r.eval_accuracy for r in host.result.records
+        ]
 
     def test_replenished_points_are_selectable(self, problem):
         session = ActiveSession(
@@ -378,7 +402,6 @@ class TestStreamingPointStore:
             _TailStrategy(),
             budget_per_round=4,
             seed=0,
-            config=SessionConfig(store=StreamingPointStore.from_problem),
         )
         session.step()
         rng = np.random.default_rng(11)
@@ -399,13 +422,7 @@ class TestStreamingPointStore:
         """A FIRAL session keeps selecting across replenishment rounds."""
 
         strategy = _approx_firal_strategy()
-        session = ActiveSession(
-            problem,
-            strategy,
-            budget_per_round=4,
-            seed=0,
-            config=SessionConfig(store=StreamingPointStore.from_problem),
-        )
+        session = ActiveSession(problem, strategy, budget_per_round=4, seed=0)
         rng = np.random.default_rng(13)
         for _ in range(3):
             session.step()
